@@ -8,6 +8,7 @@ package dram
 
 import (
 	"fmt"
+	"sort"
 
 	"xcache/internal/mem"
 	"xcache/internal/sim"
@@ -109,10 +110,14 @@ type bank struct {
 	lastPre   sim.Cycle // scheduled precharge start of the last conflict
 	lastAct   sim.Cycle // scheduled activate of the last row open
 	preValid  bool      // lastPre holds a real precharge (not cold-start zero)
+	queue     []int32   // slab indices of unstarted requests, in arrival order
 }
 
-type pending struct {
+// slot is one scheduler-window entry, in a fixed slab of WindowDepth.
+type slot struct {
 	req      Request
+	row      int64  // decoded once, at admission
+	seq      uint64 // admission number; 0 marks a free slot
 	arrived  sim.Cycle
 	started  bool
 	complete sim.Cycle
@@ -164,7 +169,10 @@ type DRAM struct {
 
 	img        *mem.Image
 	banks      []bank
-	window     []*pending
+	slab       []slot  // the scheduler window
+	free       []int32 // unoccupied slab indices
+	seq        uint64  // admission counter: arrival order within the window
+	inflight   []int32 // issued slab indices, in issue (= completion) order
 	busFree    sim.Cycle
 	stats      Stats
 	respHold   []Response    // completed but response queue was full
@@ -184,18 +192,28 @@ func New(k *sim.Kernel, cfg Config, img *mem.Image) *DRAM {
 	if name == "" {
 		name = "dram"
 	}
+	// Every index list is sized to the window up front, so steady-state
+	// ticks never grow one.
+	window := max(cfg.WindowDepth, 0)
 	d := &DRAM{
-		Cfg:   cfg,
-		Req:   sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
-		Resp:  sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
-		img:   img,
-		banks: make([]bank, cfg.Banks),
+		Cfg:      cfg,
+		Req:      sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
+		Resp:     sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
+		img:      img,
+		banks:    make([]bank, cfg.Banks),
+		slab:     make([]slot, window),
+		free:     make([]int32, window),
+		inflight: make([]int32, 0, window),
 	}
 	if cfg.Name != "" {
 		d.Label = cfg.Name
 	}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
+		d.banks[i].queue = make([]int32, 0, window)
+	}
+	for i := range d.free {
+		d.free[i] = int32(i)
 	}
 	k.Add(d)
 	return d
@@ -205,11 +223,14 @@ func New(k *sim.Kernel, cfg Config, img *mem.Image) *DRAM {
 func (d *DRAM) Stats() Stats { return d.stats }
 
 // Pending reports the number of requests admitted but not yet completed.
-func (d *DRAM) Pending() int { return len(d.window) + len(d.respHold) + len(d.delayed) }
+func (d *DRAM) Pending() int { return d.live() + len(d.respHold) + len(d.delayed) }
+
+// live returns the number of occupied window slots.
+func (d *DRAM) live() int { return len(d.slab) - len(d.free) }
 
 // Idle reports whether the channel has no queued or in-flight work.
 func (d *DRAM) Idle() bool {
-	return d.Req.Len() == 0 && len(d.window) == 0 && len(d.respHold) == 0 && len(d.delayed) == 0
+	return d.Req.Len() == 0 && d.live() == 0 && len(d.respHold) == 0 && len(d.delayed) == 0
 }
 
 // EnableProtocolCheck turns on the DDR timing-protocol assertions: every
@@ -225,13 +246,18 @@ func (d *DRAM) CheckInvariants(c sim.Cycle) error {
 	if d.protoErr != nil {
 		return d.protoErr
 	}
-	if len(d.window) > d.Cfg.WindowDepth {
-		return fmt.Errorf("dram: scheduler window %d exceeds depth %d", len(d.window), d.Cfg.WindowDepth)
-	}
-	for _, p := range d.window {
-		if p.started && p.complete > d.busFree {
+	// Completion order must equal issue order, and nothing may complete
+	// after the bus frees.
+	var prev sim.Cycle
+	for _, i := range d.inflight {
+		p := &d.slab[i]
+		if p.complete > d.busFree {
 			return fmt.Errorf("dram: request %#x completes at %d after bus frees at %d", p.req.Addr, p.complete, d.busFree)
 		}
+		if p.complete <= prev {
+			return fmt.Errorf("dram: request %#x completes at %d, not after its predecessor's %d", p.req.Addr, p.complete, prev)
+		}
+		prev = p.complete
 	}
 	return nil
 }
@@ -254,7 +280,7 @@ func (d *DRAM) DiagnoseName() string {
 func (d *DRAM) Diagnose() []string {
 	var out []string
 	out = append(out, fmt.Sprintf("window %d/%d, respHold %d, delayed %d, busFree @%d",
-		len(d.window), d.Cfg.WindowDepth, len(d.respHold), len(d.delayed), d.busFree))
+		d.live(), d.Cfg.WindowDepth, len(d.respHold), len(d.delayed), d.busFree))
 	for i := range d.banks {
 		b := &d.banks[i]
 		state := "closed"
@@ -263,7 +289,7 @@ func (d *DRAM) Diagnose() []string {
 		}
 		out = append(out, fmt.Sprintf("bank %d: %s, busy until %d", i, state, b.busyUntil))
 	}
-	for _, p := range d.window {
+	for _, p := range d.windowOrder() {
 		tag := "queued"
 		if p.started {
 			tag = fmt.Sprintf("completes @%d", p.complete)
@@ -271,6 +297,18 @@ func (d *DRAM) Diagnose() []string {
 		out = append(out, fmt.Sprintf("req id=%d addr=%#x words=%d arrived @%d (%s)",
 			p.req.ID, p.req.Addr, p.req.Words, p.arrived, tag))
 	}
+	return out
+}
+
+// windowOrder returns the occupied window slots in arrival order.
+func (d *DRAM) windowOrder() []*slot {
+	out := make([]*slot, 0, d.live())
+	for i := range d.slab {
+		if p := &d.slab[i]; p.seq != 0 {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 
@@ -315,20 +353,29 @@ func (d *DRAM) Tick(c sim.Cycle) {
 	}
 
 	// Retry responses that were blocked on a full response queue.
-	for len(d.respHold) > 0 {
-		if !d.Resp.Push(d.respHold[0]) {
-			break
+	if len(d.respHold) > 0 {
+		n := 0
+		for n < len(d.respHold) && d.Resp.Push(d.respHold[n]) {
+			n++
 		}
-		d.respHold = d.respHold[1:]
+		kept := copy(d.respHold, d.respHold[n:])
+		clear(d.respHold[kept:])
+		d.respHold = d.respHold[:kept]
 	}
 
-	// Admit new requests into the scheduling window.
-	for len(d.window) < d.Cfg.WindowDepth {
+	// Admit new requests into the scheduling window, decoding bank and
+	// row once.
+	for len(d.free) > 0 {
 		req, ok := d.Req.Pop()
 		if !ok {
 			break
 		}
-		d.window = append(d.window, &pending{req: req, arrived: c})
+		i := d.free[len(d.free)-1]
+		d.free = d.free[:len(d.free)-1]
+		d.seq++
+		bi, row := d.mapAddr(req.Addr)
+		d.slab[i] = slot{req: req, row: row, seq: d.seq, arrived: c}
+		d.banks[bi].queue = append(d.banks[bi].queue, i)
 	}
 	if p := d.Pending(); p > d.stats.PeakPending {
 		d.stats.PeakPending = p
@@ -341,16 +388,26 @@ func (d *DRAM) Tick(c sim.Cycle) {
 		d.issue(c)
 	}
 
-	// Complete.
-	remaining := d.window[:0]
-	for _, p := range d.window {
-		if !p.started || p.complete > c {
-			remaining = append(remaining, p)
-			continue
-		}
-		d.finish(p, c)
+	// Complete. Every issue pushes busFree strictly later, so the in-flight
+	// list is in completion order and the due requests are a prefix of it.
+	// Several fall due together only after an outage froze the channel;
+	// they finish in arrival order, as the window holds them.
+	n := 0
+	for n < len(d.inflight) && d.slab[d.inflight[n]].complete <= c {
+		n++
 	}
-	d.window = remaining
+	due := d.inflight[:n]
+	for j := 1; j < n; j++ { // insertion sort by arrival
+		for k := j; k > 0 && d.slab[due[k]].seq < d.slab[due[k-1]].seq; k-- {
+			due[k], due[k-1] = due[k-1], due[k]
+		}
+	}
+	for _, i := range due {
+		d.finish(&d.slab[i], c)
+		d.slab[i] = slot{}
+		d.free = append(d.free, i)
+	}
+	d.inflight = d.inflight[:copy(d.inflight, d.inflight[n:])]
 }
 
 // issue picks, for each idle bank, the oldest pending request targeting
@@ -359,31 +416,20 @@ func (d *DRAM) Tick(c sim.Cycle) {
 func (d *DRAM) issue(c sim.Cycle) {
 	for bi := range d.banks {
 		b := &d.banks[bi]
-		if b.busyUntil > c {
+		if b.busyUntil > c || len(b.queue) == 0 {
 			continue
 		}
-		var pick *pending
-		for _, p := range d.window {
-			if p.started {
-				continue
-			}
-			pb, prow := d.mapAddr(p.req.Addr)
-			if pb != bi {
-				continue
-			}
-			if pick == nil {
-				pick = p
-				continue
-			}
-			_, pickRow := d.mapAddr(pick.req.Addr)
-			if prow == b.openRow && pickRow != b.openRow {
-				pick = p
+		j := 0
+		for k, i := range b.queue {
+			if d.slab[i].row == b.openRow {
+				j = k
+				break
 			}
 		}
-		if pick == nil {
-			continue
-		}
-		_, row := d.mapAddr(pick.req.Addr)
+		pi := b.queue[j]
+		b.queue = append(b.queue[:j], b.queue[j+1:]...)
+		pick := &d.slab[pi]
+		row := pick.row
 		lat := d.Cfg.ChannelFixed + d.Cfg.TCAS
 		issue := c + sim.Cycle(d.Cfg.ChannelFixed)
 		switch {
@@ -428,6 +474,7 @@ func (d *DRAM) issue(c sim.Cycle) {
 		pick.started = true
 		pick.complete = d.busFree
 		b.busyUntil = d.busFree
+		d.inflight = append(d.inflight, pi)
 	}
 }
 
@@ -438,7 +485,7 @@ func (d *DRAM) violate(format string, args ...any) {
 	}
 }
 
-func (d *DRAM) finish(p *pending, c sim.Cycle) {
+func (d *DRAM) finish(p *slot, c sim.Cycle) {
 	d.stats.TotalLatency += uint64(c - p.arrived)
 	resp := Response{ID: p.req.ID, Addr: p.req.Addr}
 	if p.req.Write {

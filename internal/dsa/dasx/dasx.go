@@ -297,7 +297,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		}
 	})
 	k.Add(pump)
-	if !k.RunUntil(func() bool { return done == len(trace) && sim.Cycle(0) >= 0 && k.Cycle() >= computing }, opt.MaxCycles) {
+	if !k.RunUntil(func() bool { return done == len(trace) && k.Cycle() >= computing }, opt.MaxCycles) {
 		return dsa.Result{}, fmt.Errorf("dasx baseline: timeout at %d/%d", done, len(trace))
 	}
 	dst := d.Stats()

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"xcache/internal/ctrl"
@@ -91,20 +92,37 @@ func hotloopRun(exec ctrl.ExecPath, reqs int) (actions uint64, wall time.Duratio
 	return c.Stats().Actions, wall, nil
 }
 
+// hotloopReps is how many timed repetitions each executor gets after its
+// warm-up. The repetitions of the two executors alternate, so a burst of
+// host noise lands on both, and the medians discard the outliers.
+const hotloopReps = 5
+
 // Hotloop measures the controller's microcode step loop on the selected
-// executor backends ("interp", "fast" or "both") and reports
-// ns-per-action plus, when both run, the fast-path speedup. The action
-// counts are deterministic (and byte-stable in baselines); the
-// nanosecond metrics are wall-clock and machine-dependent — baseline
-// comparisons must use a relative tolerance, which is what the
-// `make bench-diff` gate does with the speedup ratio.
+// executor backends ("interp", "fast" or "both") and reports the median
+// ns-per-action over hotloopReps interleaved repetitions plus, when both
+// run, the fast-path speedup from those medians. The action counts are
+// deterministic (and byte-stable in baselines); the nanosecond metrics
+// are wall-clock and machine-dependent — baseline comparisons must use a
+// relative tolerance, which is what the `make bench-diff` gate does with
+// the speedup ratio.
 func Hotloop(which string, reqs int) (*Out, error) {
 	if reqs <= 0 {
 		reqs = 512
 	}
-	runInterp := which == "both" || which == "interp"
-	runFast := which == "both" || which == "fast"
-	if !runInterp && !runFast {
+	type executor struct {
+		name   string
+		path   ctrl.ExecPath
+		ns     []float64
+		median float64
+	}
+	var execs []*executor
+	if which == "both" || which == "interp" {
+		execs = append(execs, &executor{name: "interp", path: ctrl.ExecInterp})
+	}
+	if which == "both" || which == "fast" {
+		execs = append(execs, &executor{name: "fast", path: ctrl.ExecFast})
+	}
+	if len(execs) == 0 {
 		return nil, fmt.Errorf("hotloop: unknown executor selection %q (want both|interp|fast)", which)
 	}
 	out := &Out{
@@ -115,36 +133,32 @@ func Hotloop(which string, reqs int) (*Out, error) {
 			"wall-clock microbenchmark: ns/action and speedup are machine-dependent; action counts are deterministic",
 		},
 	}
-	measure := func(name string, exec ctrl.ExecPath) (float64, error) {
-		if _, _, err := hotloopRun(exec, reqs/8); err != nil { // warmup
-			return 0, err
-		}
-		actions, wall, err := hotloopRun(exec, reqs)
-		if err != nil {
-			return 0, err
-		}
-		ns := float64(wall.Nanoseconds()) / float64(actions)
-		out.Metrics[name+"_ns_per_action"] = ns
-		out.Metrics["actions"] = float64(actions)
-		out.Table.Add(name, fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", 1e3/ns))
-		return ns, nil
-	}
-	var nsInterp, nsFast float64
-	var err error
-	if runInterp {
-		if nsInterp, err = measure("interp", ctrl.ExecInterp); err != nil {
+	for _, e := range execs {
+		if _, _, err := hotloopRun(e.path, reqs/8); err != nil { // warmup
 			return nil, err
 		}
 	}
-	if runFast {
-		if nsFast, err = measure("fast", ctrl.ExecFast); err != nil {
-			return nil, err
+	for rep := 0; rep < hotloopReps; rep++ {
+		for _, e := range execs {
+			actions, wall, err := hotloopRun(e.path, reqs)
+			if err != nil {
+				return nil, err
+			}
+			e.ns = append(e.ns, float64(wall.Nanoseconds())/float64(actions))
+			out.Metrics["actions"] = float64(actions)
 		}
 	}
-	if runInterp && runFast {
-		out.Metrics["speedup_x"] = nsInterp / nsFast
+	for _, e := range execs {
+		sort.Float64s(e.ns)
+		e.median = e.ns[len(e.ns)/2] // hotloopReps is odd
+		out.Metrics[e.name+"_ns_per_action"] = e.median
+		out.Table.Add(e.name, fmt.Sprintf("%.1f", e.median), fmt.Sprintf("%.1f", 1e3/e.median))
+	}
+	if len(execs) == 2 {
+		speedup := execs[0].median / execs[1].median
+		out.Metrics["speedup_x"] = speedup
 		out.Notes = append(out.Notes,
-			fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", nsInterp/nsFast))
+			fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", speedup))
 	}
 	return out, nil
 }
