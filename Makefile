@@ -80,10 +80,11 @@ approx-check:
 # the coherent hierarchy against its flat single-port oracle (including
 # the committed regression input for the grant/back-inval race);
 # FuzzDRAMSched pins the DRAM scheduler against its verbatim pre-slab
-# copy in lockstep, and FuzzImage the paged memory image against a
-# word-map oracle.
+# copy in lockstep, FuzzImage the paged memory image against a
+# word-map oracle, and FuzzSectorAlloc the bitmap sector allocator
+# against its verbatim []bool first-fit copy.
 fuzz-smoke:
-	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/mem
+	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/mem ./internal/dataram
 
 # Open-ended fuzzing (not part of ci): 30s per target, promote anything
 # interesting from the build cache into testdata/fuzz/ before committing.
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCoherence -fuzztime 30s ./internal/hier
 	$(GO) test -fuzz FuzzDRAMSched -fuzztime 30s ./internal/dram
 	$(GO) test -fuzz FuzzImage -fuzztime 30s ./internal/mem
+	$(GO) test -fuzz FuzzSectorAlloc -fuzztime 30s ./internal/dataram
 
 # Coherence litmus + protocol suite, race-gated: the golden-pinned litmus
 # outcomes (store buffering, message passing, load buffering, write

@@ -276,9 +276,21 @@ type Controller struct {
 	evq    *sim.Queue[message] // internal events; message.addr carries walker id
 	replay []MetaReq
 
-	env      [16]uint64
-	walkers  []walker
-	freeW    []int32
+	env     [16]uint64
+	walkers []walker
+	freeW   []int32
+
+	// Walker bookkeeping kept in step with the walker structs, so the
+	// per-cycle paths cost what they do, not #Active: pendMask has bit i
+	// set while walker i has pending messages, camMask while it is active
+	// and not trapped (the active meta-tag bitmap of §4.1 y1, with camKey
+	// its key column), and liveRegs sums the live registers of every
+	// active walker (the coroutine occupancy integrand).
+	pendMask []uint64
+	camMask  []uint64
+	camKey   []metatag.Key
+	liveRegs int
+
 	inflight []run
 	hitPipe  []hitJob
 	hitAvail int     // banked hit-port word budget (refreshed per cycle)
@@ -383,6 +395,9 @@ func New(k *sim.Kernel, cfg Config, prog *program.Program, tags *metatag.Array,
 		evq:     sim.NewQueue[message](k, "xc.evq", cfg.EvQueueDepth),
 	}
 	c.walkers = make([]walker, cfg.NumActive)
+	c.pendMask = make([]uint64, (cfg.NumActive+63)/64)
+	c.camMask = make([]uint64, (cfg.NumActive+63)/64)
+	c.camKey = make([]metatag.Key, cfg.NumActive)
 	for i := range c.walkers {
 		c.walkers[i] = walker{id: int32(i), regs: make([]uint64, cfg.NumXRegs), pipeline: -1}
 		c.freeW = append(c.freeW, int32(i))
@@ -540,8 +555,34 @@ func (c *Controller) acceptFills(cy sim.Cycle) {
 		if c.Meter != nil {
 			c.Meter.QueueBytes += uint64(len(resp.Data)) * 8
 		}
-		w.pending = append(w.pending, message{event: program.EvFill, addr: resp.Addr, data: resp.Data})
+		c.addPending(w, message{event: program.EvFill, addr: resp.Addr, data: resp.Data})
 	}
+}
+
+// addPending stashes a message for a walker to take when it is next idle.
+func (c *Controller) addPending(w *walker, m message) {
+	w.pending = append(w.pending, m)
+	setBit(c.pendMask, w.id)
+}
+
+// setBit, clearBit and hasBit edit and test bit i of a walker bitset.
+func setBit(set []uint64, i int32)      { set[i>>6] |= 1 << (uint(i) & 63) }
+func clearBit(set []uint64, i int32)    { set[i>>6] &^= 1 << (uint(i) & 63) }
+func hasBit(set []uint64, i int32) bool { return set[i>>6]>>(uint(i)&63)&1 == 1 }
+
+// nextBit returns the lowest set bit of set at or after i, or -1. It
+// re-reads the live words, so callers may edit the set between calls.
+func nextBit(set []uint64, i int) int {
+	for wi := i >> 6; wi < len(set); wi++ {
+		w := set[wi]
+		if wi == i>>6 {
+			w &^= 1<<(uint(i)&63) - 1
+		}
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // frontend processes up to #Exe front-end slots per cycle: walker
@@ -560,17 +601,23 @@ func (c *Controller) frontend(cy sim.Cycle) {
 	}
 
 	// 1. Deliver pending messages (DRAM fills, stashed events) to idle
-	// walkers.
-	for i := range c.walkers {
+	// walkers, in walker order. Only active, untrapped walkers hold
+	// pending messages.
+	for i := nextBit(c.pendMask, 0); i >= 0; i = nextBit(c.pendMask, i+1) {
 		if budget == 0 {
 			return
 		}
 		w := &c.walkers[i]
-		if !w.active || w.trapped || w.running || len(w.pending) == 0 {
+		if w.running {
 			continue
 		}
 		w.msg = w.pending[0]
-		w.pending = w.pending[1:]
+		n := copy(w.pending, w.pending[1:])
+		w.pending[n] = message{} // drop the fill data reference
+		w.pending = w.pending[:n]
+		if n == 0 {
+			clearBit(c.pendMask, w.id)
+		}
 		c.fire(cy, w, w.msg.event)
 		budget--
 	}
@@ -587,7 +634,7 @@ func (c *Controller) frontend(cy sim.Cycle) {
 			continue
 		}
 		if w.running {
-			w.pending = append(w.pending, m)
+			c.addPending(w, m)
 			continue
 		}
 		w.msg = m
@@ -633,18 +680,10 @@ func (c *Controller) frontend(cy sim.Cycle) {
 		}
 		// Active meta-tag bitmap (§4.1 y1): a walker may be live for this
 		// key before its allocm has executed; merge, don't duplicate.
-		merged := false
-		for i := range c.walkers {
-			w := &c.walkers[i]
-			if w.active && !w.trapped && c.keyEq(w.key, req.Key) {
-				if !c.merge(w, req, fromReplay) {
-					return
-				}
-				merged = true
-				break
+		if i := c.activeKey(req.Key); i >= 0 {
+			if !c.merge(&c.walkers[i], req, fromReplay) {
+				return
 			}
-		}
-		if merged {
 			c.trace(TraceEvent{Kind: TraceReq, Class: ClassMerge, Op: req.Op, ID: req.ID, Key: req.Key, Replay: fromReplay})
 			budget--
 			continue
@@ -665,11 +704,19 @@ func (c *Controller) frontend(cy sim.Cycle) {
 	}
 }
 
-func (c *Controller) keyEq(a, b metatag.Key) bool {
-	if a[0] != b[0] {
-		return false
+// activeKey returns the lowest-index active, untrapped walker whose key
+// matches k, or -1.
+func (c *Controller) activeKey(k metatag.Key) int {
+	two := c.Tags.Cfg.KeyWords >= 2
+	for wi, m := range c.camMask {
+		for ; m != 0; m &= m - 1 {
+			i := wi<<6 + bits.TrailingZeros64(m)
+			if ck := &c.camKey[i]; ck[0] == k[0] && (!two || ck[1] == k[1]) {
+				return i
+			}
+		}
 	}
-	return c.Tags.Cfg.KeyWords < 2 || a[1] == b[1]
+	return -1
 }
 
 // merge parks a request behind the walker already handling its key.
@@ -685,7 +732,9 @@ func (c *Controller) merge(w *walker, req MetaReq, fromReplay bool) bool {
 
 func (c *Controller) consumeReq(fromReplay bool) {
 	if fromReplay {
-		c.replay = c.replay[1:]
+		// Shift in place so the replay list keeps its backing array.
+		n := copy(c.replay, c.replay[1:])
+		c.replay = c.replay[:n]
 	} else {
 		c.ReqQ.Pop()
 	}
@@ -801,15 +850,17 @@ func (c *Controller) spawn(cy sim.Cycle, req MetaReq) {
 	w := &c.walkers[wid]
 	*w = walker{
 		id: wid, active: true, key: req.Key, state: program.StateInvalid,
-		regs: w.regs, origin: req, spawned: cy, pipeline: -1,
-		isStore: req.Op != MetaLoad,
+		regs: w.regs, waiters: w.waiters, pending: w.pending,
+		origin: req, spawned: cy, pipeline: -1, isStore: req.Op != MetaLoad,
 	}
+	setBit(c.camMask, wid)
+	c.camKey[wid] = req.Key
 	for i := range w.regs {
 		w.regs[i] = 0
 	}
 	// Spawn conventions: r0 = payload, r1/r2 = key words.
 	w.regs[0], w.regs[1], w.regs[2] = req.Payload, req.Key[0], req.Key[1]
-	w.liveMask = 0b111
+	c.markLive(w, 0b111)
 	if c.Meter != nil {
 		c.Meter.RegBitsWritten += 3 * 64
 	}
@@ -929,13 +980,31 @@ func (c *Controller) accumulateOccupancy() {
 		}
 		return
 	}
-	for i := range c.walkers {
-		w := &c.walkers[i]
-		if !w.active {
-			continue
-		}
-		c.stats.OccupancyByteCycles += uint64(bits.OnesCount32(w.liveMask)) * 8
-	}
+	c.stats.OccupancyByteCycles += uint64(c.liveRegs) * 8
+}
+
+// markLive makes the registers in mask live, and setLive makes exactly
+// those in mask live; both keep liveRegs in step.
+func (c *Controller) markLive(w *walker, mask uint32) {
+	c.liveRegs += bits.OnesCount32(mask &^ w.liveMask)
+	w.liveMask |= mask
+}
+
+func (c *Controller) setLive(w *walker, mask uint32) {
+	c.liveRegs += bits.OnesCount32(mask) - bits.OnesCount32(w.liveMask)
+	w.liveMask = mask
+}
+
+// retire takes a walker out of the pendMask and camMask bitsets and
+// empties its message and waiter lists, keeping their backing arrays for
+// the walker's next spawn. Its live registers stay in liveRegs until the
+// context is freed (a trapped walker still holds them while it drains).
+func (c *Controller) retire(w *walker) {
+	clear(w.pending) // drop fill data references
+	w.pending = w.pending[:0]
+	w.waiters = w.waiters[:0]
+	clearBit(c.pendMask, w.id)
+	clearBit(c.camMask, w.id)
 }
 
 // finish releases a walker: waiters replay (they will now hit or respawn),
@@ -959,8 +1028,8 @@ func (c *Controller) finish(w *walker, notFound bool) {
 		}
 		c.replay = append(c.replay, waiter)
 	}
-	w.waiters = nil
-	w.pending = nil
+	c.retire(w)
+	c.setLive(w, 0)
 	w.active = false
 	w.running = false
 	if w.pipeline >= 0 {
@@ -1062,9 +1131,10 @@ func (c *Controller) ActivityCount() uint64 {
 // CheckInvariants verifies the controller's per-cycle microarchitectural
 // bounds after a kernel step: the front-end woke at most #Exe walkers,
 // the back-end retired at most #Exe actions (unless hardwired), the
-// outstanding-fill count matches the per-walker ledgers, and the walker
-// free list is conserved. It also surfaces a fill that exhausted its
-// retries.
+// outstanding-fill count matches the per-walker ledgers, the walker
+// free list is conserved, and the incremental bookkeeping (pendMask,
+// camMask/camKey, liveRegs) agrees with a scan of the walker structs. It
+// also surfaces a fill that exhausted its retries.
 func (c *Controller) CheckInvariants(cy sim.Cycle) error {
 	if c.fillFailure != nil {
 		return c.fillFailure
@@ -1075,7 +1145,7 @@ func (c *Controller) CheckInvariants(cy sim.Cycle) error {
 	if !c.Cfg.Hardwired && c.cycActions > c.Cfg.NumExe {
 		return fmt.Errorf("ctrl: %d actions in cycle %d exceeds #Exe=%d", c.cycActions, cy, c.Cfg.NumExe)
 	}
-	sum, active := 0, 0
+	sum, active, live := 0, 0, 0
 	for i := range c.walkers {
 		w := &c.walkers[i]
 		if w.fills < 0 {
@@ -1084,7 +1154,20 @@ func (c *Controller) CheckInvariants(cy sim.Cycle) error {
 		sum += w.fills
 		if w.active {
 			active++
+			live += bits.OnesCount32(w.liveMask)
 		}
+		if pend := hasBit(c.pendMask, w.id); pend != (len(w.pending) > 0) {
+			return fmt.Errorf("ctrl: walker %d pendMask bit %v with %d pending messages", w.id, pend, len(w.pending))
+		}
+		if cam := hasBit(c.camMask, w.id); cam != (w.active && !w.trapped) {
+			return fmt.Errorf("ctrl: walker %d camMask bit %v (active %v, trapped %v)", w.id, cam, w.active, w.trapped)
+		}
+		if w.active && !w.trapped && c.camKey[i] != w.key {
+			return fmt.Errorf("ctrl: walker %d camKey %#x != key %#x", w.id, c.camKey[i], w.key)
+		}
+	}
+	if live != c.liveRegs {
+		return fmt.Errorf("ctrl: liveRegs %d != live registers of active walkers %d", c.liveRegs, live)
 	}
 	if sum != c.outstandingFills {
 		return fmt.Errorf("ctrl: outstanding fills %d != per-walker sum %d (MSHR ledger skew)",

@@ -126,7 +126,7 @@ func (c *Controller) exec1(cy sim.Cycle, r *run, w *walker, in isa.Instr) stepSt
 		// on"). Unmarked registers are pipeline temporaries and are
 		// cleared when the routine yields.
 		w.persist |= 1 << in.Dst
-		w.liveMask |= 1 << in.Dst
+		c.markLive(w, 1<<in.Dst)
 
 	// ---- Queues ----
 	case isa.OpEnqFill, isa.OpEnqFillI:
@@ -238,7 +238,7 @@ func (c *Controller) exec1(cy sim.Cycle, r *run, w *walker, in isa.Instr) stepSt
 // path's closures share it).
 func (c *Controller) fsetReg(w *walker, i uint8, v uint64) {
 	w.regs[i] = v
-	w.liveMask |= 1 << i
+	c.markLive(w, 1<<i)
 	if c.Meter != nil {
 		c.Meter.RegBitsWritten += 64
 	}
@@ -452,7 +452,7 @@ func (c *Controller) execYield(w *walker, s int) stepStatus {
 			w.regs[i] = 0
 		}
 	}
-	w.liveMask = w.persist
+	c.setLive(w, w.persist)
 	return stepDone
 }
 

@@ -254,7 +254,7 @@ func compileVerified(in isa.Instr, p *program.Program, start int32) fastFn {
 		return func(c *Controller, cy sim.Cycle, r *run, w *walker) stepStatus {
 			c.chargeAction()
 			w.persist |= mask
-			w.liveMask |= mask
+			c.markLive(w, mask)
 			r.pc++
 			return stepAgain
 		}

@@ -170,7 +170,6 @@ func (c *Controller) raise(cy sim.Cycle, w *walker, kind TrapKind, pc int32, op 
 func (c *Controller) quiesce(w *walker) {
 	w.running = false
 	w.trapped = true
-	w.pending = nil
 	if w.entry != nil {
 		if w.entry.SectorCount > 0 {
 			c.Data.Free(w.entry.SectorBase, w.entry.SectorCount)
@@ -188,7 +187,7 @@ func (c *Controller) quiesce(w *walker) {
 	for _, waiter := range w.waiters {
 		c.trapResps = append(c.trapResps, MetaResp{ID: waiter.ID, Status: program.StatusNotFound})
 	}
-	w.waiters = nil
+	c.retire(w)
 	if w.fills == 0 {
 		c.freeTrapped(w)
 	}
@@ -196,6 +195,7 @@ func (c *Controller) quiesce(w *walker) {
 
 // freeTrapped returns a fully-drained trapped walker to the free list.
 func (c *Controller) freeTrapped(w *walker) {
+	c.setLive(w, 0)
 	w.active = false
 	w.trapped = false
 	c.freeW = append(c.freeW, w.id)

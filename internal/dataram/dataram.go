@@ -9,6 +9,7 @@ package dataram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xcache/internal/energy"
 )
@@ -33,7 +34,9 @@ type Stats struct {
 type RAM struct {
 	Cfg   Config
 	words []uint64
-	used  []bool // per sector
+	// used is the sector-occupancy bitmap: bit i%64 of word i/64 is set
+	// while sector i is allocated.
+	used  []uint64
 	free  int
 	stats Stats
 	Meter *energy.Counters
@@ -52,7 +55,7 @@ func New(cfg Config, meter *energy.Counters) *RAM {
 	return &RAM{
 		Cfg:   cfg,
 		words: make([]uint64, cfg.Sectors*cfg.WordsPerSector),
-		used:  make([]bool, cfg.Sectors),
+		used:  make([]uint64, (cfg.Sectors+63)/64),
 		free:  cfg.Sectors,
 		Meter: meter,
 	}
@@ -81,45 +84,68 @@ func (r *RAM) Alloc(n int) (base int32, ok bool) {
 		r.stats.AllocFails++
 		return 0, false
 	}
-	run := 0
-	start := 0
-	for i := r.firstFree; i < r.Cfg.Sectors; i++ {
-		if r.used[i] {
-			run = 0
-			continue
-		}
-		if run == 0 {
-			start = i
-		}
-		run++
-		if run == n {
-			for j := start; j < start+n; j++ {
-				r.used[j] = true
-			}
-			r.free -= n
-			r.stats.SectorAlloc += uint64(n)
-			if start == r.firstFree {
-				r.firstFree = start + n
-			}
-			return int32(start), true
-		}
-	}
-	// Wrap: retry the scan from 0 once (hint may have skipped freed runs).
-	if r.firstFree != 0 {
+	start := r.firstFit(r.firstFree, n)
+	if start < 0 && r.firstFree != 0 {
+		// Wrap: retry the scan from 0 once (hint may have skipped freed runs).
 		r.firstFree = 0
-		return r.Alloc(n)
+		start = r.firstFit(0, n)
 	}
-	r.stats.AllocFails++
-	return 0, false
+	if start < 0 {
+		r.stats.AllocFails++
+		return 0, false
+	}
+	for i := start; i < start+n; i++ {
+		r.used[i>>6] |= 1 << (uint(i) & 63)
+	}
+	r.free -= n
+	r.stats.SectorAlloc += uint64(n)
+	if start == r.firstFree {
+		r.firstFree = start + n
+	}
+	return int32(start), true
+}
+
+// firstFit returns the start of the first run of n free sectors
+// beginning at or after sector from, or -1. It alternates two word-wise
+// searches: the next free sector (skipping fully used words), then the
+// first used sector inside the candidate run, past which the search
+// resumes.
+func (r *RAM) firstFit(from, n int) int {
+	for start := r.scan(from, r.Cfg.Sectors, true); start+n <= r.Cfg.Sectors; {
+		end := r.scan(start, start+n, false)
+		if end == start+n {
+			return start
+		}
+		start = r.scan(end, r.Cfg.Sectors, true)
+	}
+	return -1
+}
+
+// scan returns the first sector in [i, limit) whose used bit is clear
+// (free) or set (!free), or limit when there is none.
+func (r *RAM) scan(i, limit int, free bool) int {
+	flip := uint64(0)
+	if free {
+		flip = ^uint64(0)
+	}
+	for i < limit {
+		wi := i >> 6
+		if w := (r.used[wi] ^ flip) >> (uint(i) & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), limit)
+		}
+		i = (wi + 1) << 6
+	}
+	return limit
 }
 
 // Free releases a run allocated by Alloc.
 func (r *RAM) Free(base int32, n int32) {
 	for i := base; i < base+n; i++ {
-		if !r.used[i] {
+		bit := uint64(1) << (uint(i) & 63)
+		if r.used[i>>6]&bit == 0 {
 			panic(fmt.Sprintf("dataram: double free of sector %d", i))
 		}
-		r.used[i] = false
+		r.used[i>>6] &^= bit
 	}
 	r.free += int(n)
 	r.stats.SectorFree += uint64(n)

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 
 	"xcache/internal/energy"
+	"xcache/internal/program"
 )
 
 // Key is a meta-tag: up to two 64-bit metadata fields. DSAs with a single
@@ -112,12 +113,14 @@ type Evicted struct {
 
 // Array is the meta-tag RAM.
 type Array struct {
-	Cfg     Config
-	sets    [][]Entry
+	Cfg Config
+	// entries holds Sets × Ways slots set-major: set s is
+	// entries[s*Ways : (s+1)*Ways].
+	entries []Entry
 	tick    uint64
 	stats   Stats
 	Meter   *energy.Counters
-	present map[Key]struct{} // fast duplicate guard (mirrors hardware invariant)
+	live    int // tracked valid entries (see Live)
 }
 
 // New builds an array; sets must be a power of two.
@@ -129,13 +132,9 @@ func New(cfg Config, meter *energy.Counters) *Array {
 	if cfg.Ways <= 0 {
 		panic("metatag: ways must be positive")
 	}
-	a := &Array{Cfg: cfg, Meter: meter, present: make(map[Key]struct{})}
-	a.sets = make([][]Entry, cfg.Sets)
-	for i := range a.sets {
-		a.sets[i] = make([]Entry, cfg.Ways)
-		for w := range a.sets[i] {
-			a.sets[i][w].Walker = NoWalker
-		}
+	a := &Array{Cfg: cfg, Meter: meter, entries: make([]Entry, cfg.Sets*cfg.Ways)}
+	for i := range a.entries {
+		a.entries[i].Walker = NoWalker
 	}
 	return a
 }
@@ -155,11 +154,14 @@ func (a *Array) norm(k Key) Key {
 	return k
 }
 
+// set returns the ways of key's set; k must be normalized.
 func (a *Array) set(k Key) []Entry {
-	if a.Cfg.IdentityIndex {
-		return a.sets[k[0]&uint64(a.Cfg.Sets-1)]
+	idx := k[0]
+	if !a.Cfg.IdentityIndex {
+		idx = k.Mix()
 	}
-	return a.sets[k.Mix()&uint64(a.Cfg.Sets-1)]
+	base := int(idx&uint64(a.Cfg.Sets-1)) * a.Cfg.Ways
+	return a.entries[base : base+a.Cfg.Ways]
 }
 
 func (a *Array) match(e *Entry, k Key) bool {
@@ -183,9 +185,9 @@ func (a *Array) Lookup(k Key) *Entry {
 // admit this cycle; Account is called once on actual admission.
 func (a *Array) Probe(k Key) *Entry {
 	k = a.norm(k)
-	for i := range a.set(k) {
-		e := &a.set(k)[i]
-		if a.match(e, k) {
+	set := a.set(k)
+	for i := range set {
+		if e := &set[i]; a.match(e, k) {
 			return e
 		}
 	}
@@ -217,10 +219,14 @@ func (a *Array) Touch(e *Entry) {
 // ok is false when every way holds a transient entry (walker must retry).
 func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 	k = a.norm(k)
-	if _, dup := a.present[k]; dup {
-		panic(fmt.Sprintf("metatag: duplicate alloc for key %v", k))
-	}
 	set := a.set(k)
+	// Duplicate guard (hardware invariant: one live tag per key). A
+	// tracked key can only live in its own set.
+	for i := range set {
+		if e := &set[i]; e.Valid && !e.untracked && e.Key == k {
+			panic(fmt.Sprintf("metatag: duplicate alloc for key %v", k))
+		}
+	}
 	var victim *Entry
 	for i := range set {
 		e := &set[i]
@@ -249,7 +255,7 @@ func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 		ev = &Evicted{Key: victim.Key, Dirty: victim.Dirty,
 			SectorBase: victim.SectorBase, SectorCount: victim.SectorCount}
 		if !victim.untracked {
-			delete(a.present, victim.Key)
+			a.live--
 		}
 	}
 	a.stats.Allocs++
@@ -259,7 +265,7 @@ func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 	a.tick++
 	*victim = Entry{Valid: true, Key: k, State: state, Walker: walker,
 		Parity: keyParity(k), lru: a.tick}
-	a.present[k] = struct{}{}
+	a.live++
 	return victim, ev, true
 }
 
@@ -272,16 +278,16 @@ func (a *Array) Dealloc(e *Entry) {
 		a.Meter.TagBytes += StateBytes // valid-bit/state clear
 	}
 	if !e.untracked {
-		delete(a.present, e.Key)
+		a.live--
 	}
 	*e = Entry{Walker: NoWalker}
 }
 
 // CorruptKeyBit flips one stored key bit of a valid entry, modeling a
-// tag-RAM soft error. The duplicate-alloc guard drops the entry (hardware
-// has no such mirror; the stale bits simply occupy the way until the
-// parity scrub or an eviction removes them). word must be within the
-// configured KeyWords.
+// tag-RAM soft error. The duplicate-alloc guard and Live stop tracking
+// the entry; the stale bits simply occupy the way until the parity scrub
+// or an eviction removes them. word must be within the configured
+// KeyWords.
 func (a *Array) CorruptKeyBit(e *Entry, word, bit int) {
 	if !e.Valid {
 		panic("metatag: corrupting an invalid entry")
@@ -290,7 +296,7 @@ func (a *Array) CorruptKeyBit(e *Entry, word, bit int) {
 		panic(fmt.Sprintf("metatag: corrupt word %d bit %d out of range", word, bit))
 	}
 	if !e.untracked {
-		delete(a.present, e.Key)
+		a.live--
 		e.untracked = true
 	}
 	e.Key[word] ^= 1 << uint(bit)
@@ -332,17 +338,17 @@ func (a *Array) Update() {
 	}
 }
 
-// Live returns the number of valid entries (for invariant checks).
-func (a *Array) Live() int { return len(a.present) }
+// Live returns the number of tracked valid entries (for invariant
+// checks): entries whose key bits were corrupted by CorruptKeyBit still
+// occupy their way but are not counted.
+func (a *Array) Live() int { return a.live }
 
-// ForEach visits every valid entry; used by drain paths (GraphPulse pops
-// its coalesced events) and tests.
+// ForEach visits every valid entry, set by set and way by way; used by
+// drain paths (GraphPulse pops its coalesced events) and tests.
 func (a *Array) ForEach(fn func(e *Entry)) {
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			if a.sets[si][wi].Valid {
-				fn(&a.sets[si][wi])
-			}
+	for i := range a.entries {
+		if a.entries[i].Valid {
+			fn(&a.entries[i])
 		}
 	}
 }
@@ -353,15 +359,13 @@ func (a *Array) ForEach(fn func(e *Entry)) {
 // allocation cannot be satisfied within its own set.
 func (a *Array) EvictLRUStable() (*Evicted, bool) {
 	var victim *Entry
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			e := &a.sets[si][wi]
-			if !e.Valid || e.Walker != NoWalker || e.State != 1 {
-				continue
-			}
-			if victim == nil || e.lru < victim.lru {
-				victim = e
-			}
+	for i := range a.entries {
+		e := &a.entries[i]
+		if !e.Valid || e.Walker != NoWalker || e.State != program.StateValid {
+			continue
+		}
+		if victim == nil || e.lru < victim.lru {
+			victim = e
 		}
 	}
 	if victim == nil {

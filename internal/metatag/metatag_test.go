@@ -1,6 +1,7 @@
 package metatag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -300,5 +301,94 @@ func TestCorruptKeyBitRangeChecks(t *testing.T) {
 			}()
 			a.CorruptKeyBit(e, bad[0], bad[1])
 		}()
+	}
+}
+
+// TestDuplicateGuardFollowsTrackedKeys pins the set-scan duplicate guard:
+// a second Alloc of a tracked key panics, but once CorruptKeyBit has
+// untracked the original entry the key may be allocated again.
+func TestDuplicateGuardFollowsTrackedKeys(t *testing.T) {
+	a := New(Config{Sets: 4, Ways: 2, KeyWords: 1}, nil)
+	k := Key{6, 0}
+	e, _, _ := a.Alloc(k, program.StateValid, NoWalker)
+	if !panics(func() { a.Alloc(k, program.StateValid, NoWalker) }) {
+		t.Fatal("second alloc of a tracked key did not panic")
+	}
+	a.CorruptKeyBit(e, 0, 63) // stored bits no longer read 6
+	if a.Live() != 0 {
+		t.Fatalf("live=%d after corrupting the only entry, want 0", a.Live())
+	}
+	if _, _, ok := a.Alloc(k, program.StateValid, NoWalker); !ok {
+		t.Fatal("re-alloc after corruption failed")
+	}
+	if a.Live() != 1 {
+		t.Fatalf("live=%d, want 1", a.Live())
+	}
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestLiveMatchesTrackedCount checks the incremental Live counter against
+// a ForEach count of tracked valid entries after every operation of
+// random alloc, dealloc, evict and corrupt streams, with transient
+// entries in the mix so Alloc can also fail.
+func TestLiveMatchesTrackedCount(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := New(Config{Sets: 4, Ways: 2, KeyWords: 2, IdentityIndex: seed%2 == 0}, nil)
+		for i := 0; i < 400; i++ {
+			k := Key{uint64(rng.Intn(24)), uint64(rng.Intn(2))}
+			switch rng.Intn(5) {
+			case 0, 1:
+				if a.Probe(k) == nil {
+					walker := int32(NoWalker)
+					if rng.Intn(4) == 0 {
+						walker = 1 // transient: not evictable
+					}
+					a.Alloc(k, program.StateValid, walker)
+				}
+			case 2:
+				if e := a.Probe(k); e != nil {
+					a.Dealloc(e)
+				}
+			case 3:
+				a.EvictLRUStable()
+			case 4:
+				var valid []*Entry
+				a.ForEach(func(e *Entry) { valid = append(valid, e) })
+				if len(valid) > 0 {
+					a.CorruptKeyBit(valid[rng.Intn(len(valid))], rng.Intn(2), rng.Intn(64))
+				}
+			}
+			tracked := 0
+			a.ForEach(func(e *Entry) {
+				if !e.untracked {
+					tracked++
+				}
+			})
+			if a.Live() != tracked {
+				t.Fatalf("seed %d op %d: Live()=%d, ForEach counts %d tracked entries", seed, i, a.Live(), tracked)
+			}
+		}
+	}
+}
+
+// TestForEachVisitsSetMajor pins the visit order ForEach and
+// EvictLRUStable scan in (set by set, way by way): drain paths and the
+// eviction tie-break depend on it.
+func TestForEachVisitsSetMajor(t *testing.T) {
+	a := New(Config{Sets: 8, Ways: 2, KeyWords: 1, IdentityIndex: true}, nil)
+	for _, k := range []uint64{13, 2, 7, 5, 10, 0, 15} { // sets 5,2,7,5,2,0,7
+		a.Alloc(Key{k, 0}, program.StateValid, NoWalker)
+	}
+	var got []uint64
+	a.ForEach(func(e *Entry) { got = append(got, e.Key[0]) })
+	want := []uint64{0, 2, 10, 13, 5, 7, 15}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ForEach order %v, want %v", got, want)
 	}
 }
