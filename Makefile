@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt golden race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff bench bench-json bench-json-0 bench-diff ci
+.PHONY: verify vet fmt golden race faultsmoke loc-delta soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff bench bench-json bench-json-0 bench-diff ci
 
 # Tier-1: the gate every change must pass (see ROADMAP.md), plus the
 # static gates and the race detector over the parallel sweep engine.
@@ -28,9 +28,19 @@ race: vet
 	$(GO) test -race ./...
 
 # Fault-injection smoke: seeded dropped-fill run must recover, validate
-# against the golden model, and replay byte-for-byte from its seed.
+# against the golden model, and replay byte-for-byte from its seed; every
+# DSA run kind must pass the watchdog and invariants with a Result equal
+# to its unsupervised one, and an address-cache budget abort must be a
+# typed failure.
 faultsmoke:
-	$(GO) test -run TestFaultSmoke ./internal/check
+	$(GO) test -run 'TestFaultSmoke|TestHarnessCleanRunAllDSAs|TestAddrBudgetExhaustionReport' ./internal/check
+
+# Per-PR line report: added, deleted and net non-test Go lines of the
+# tracked working tree against BASE (stage new files first).
+BASE ?= HEAD~1
+loc-delta:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{a += $$1; d += $$2} END {printf "added %d, deleted %d, net %d non-test Go lines\n", a, d, a - d}'
 
 # Fault-matrix soak: the widened injector matrix (every fault class ×
 # several seeds × three DSAs) driven through the resilient sweep engine

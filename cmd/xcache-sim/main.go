@@ -8,11 +8,16 @@
 //	xcache-sim -dsa gamma -kind addr -scale 30
 //	xcache-sim -dsa graphpulse -kind baseline -scale 10
 //
-// Hardening (X-Cache runs only):
+// Hardening (every kind):
 //
 //	xcache-sim -dsa widx -check                  # watchdog + invariant checkers
+//	xcache-sim -dsa widx -kind addr -check       # the same for the address-cache run
 //	xcache-sim -dsa widx -faults 1e-3 -seed 7    # drop 0.1% of DRAM fills, seeded
 //	xcache-sim -dsa widx -check -watchdog 20000  # custom stall window
+//
+// Dropped fills are injected only on a DRAM channel that feeds a
+// controller directly (its timeout-and-retry path recovers them), so a
+// -faults run of an address-cache kind injects nothing.
 //
 // A fault run is exactly reproducible from its seed; on a wedge or
 // invariant violation the process emits a structured JSON failure record
@@ -64,7 +69,7 @@ func main() {
 	kind := flag.String("kind", "xcache", "xcache | addr | baseline")
 	query := flag.String("query", "TPC-H-19", "TPC-H query profile (widx/dasx)")
 	scale := flag.Int("scale", 25, "workload scale divisor (1 = paper scale)")
-	doCheck := flag.Bool("check", false, "enable the watchdog and invariant checkers (xcache runs)")
+	doCheck := flag.Bool("check", false, "enable the watchdog and invariant checkers")
 	faults := flag.Float64("faults", 0, "DRAM read-response drop probability (enables fault injection + -check)")
 	seed := flag.Uint64("seed", 1, "fault-injection seed (same seed → identical run)")
 	watchdog := flag.Int("watchdog", 50_000, "cycles without forward progress before declaring a stall")
@@ -87,10 +92,6 @@ func main() {
 		if *faults > 0 {
 			cc.Faults = check.FaultConfig{DropResp: *faults}
 		}
-	}
-	if cc != nil && *kind != "xcache" {
-		fmt.Fprintln(os.Stderr, "xcache-sim: -check/-faults apply to -kind xcache only")
-		os.Exit(1)
 	}
 
 	r, err := run(*name, *kind, *query, *scale, cc)
@@ -273,18 +274,18 @@ func run(name, kind, query string, scale int, cc *check.Config) (dsa.Result, err
 		case "xcache":
 			return widx.RunXCache(hashWork, widx.Options{Check: cc})
 		case "addr":
-			return widx.RunAddr(hashWork, widx.Options{})
+			return widx.RunAddr(hashWork, widx.Options{Check: cc})
 		case "baseline":
-			return widx.RunBaseline(hashWork, widx.Options{})
+			return widx.RunBaseline(hashWork, widx.Options{Check: cc})
 		}
 	case "dasx":
 		switch kind {
 		case "xcache":
 			return dasx.RunXCache(hashWork, dasx.Options{Check: cc})
 		case "addr":
-			return dasx.RunAddr(hashWork, dasx.Options{})
+			return dasx.RunAddr(hashWork, dasx.Options{Check: cc})
 		case "baseline":
-			return dasx.RunBaseline(hashWork, dasx.Options{})
+			return dasx.RunBaseline(hashWork, dasx.Options{Check: cc})
 		}
 	case "sparch", "gamma":
 		alg := spgemm.SpArch
@@ -296,9 +297,9 @@ func run(name, kind, query string, scale int, cc *check.Config) (dsa.Result, err
 		case "xcache":
 			return spgemm.RunXCache(alg, w, spgemm.Options{Check: cc})
 		case "addr":
-			return spgemm.RunAddr(alg, w, spgemm.Options{})
+			return spgemm.RunAddr(alg, w, spgemm.Options{Check: cc})
 		case "baseline":
-			return spgemm.RunBaseline(alg, w, spgemm.Options{})
+			return spgemm.RunBaseline(alg, w, spgemm.Options{Check: cc})
 		}
 	case "graphpulse":
 		w := graphpulse.P2PGnutella08(scale)
@@ -306,9 +307,9 @@ func run(name, kind, query string, scale int, cc *check.Config) (dsa.Result, err
 		case "xcache":
 			return graphpulse.RunXCache(w, graphpulse.Options{Check: cc})
 		case "addr":
-			return graphpulse.RunAddr(w, graphpulse.Options{})
+			return graphpulse.RunAddr(w, graphpulse.Options{Check: cc})
 		case "baseline":
-			return graphpulse.RunBaseline(w, graphpulse.Options{})
+			return graphpulse.RunBaseline(w, graphpulse.Options{Check: cc})
 		}
 	case "btreeidx":
 		w := btreeidx.DefaultWork(scale)
@@ -318,7 +319,7 @@ func run(name, kind, query string, scale int, cc *check.Config) (dsa.Result, err
 		case "addr", "baseline":
 			// The pure address-cache build is the baseline for B+-tree
 			// probing (the paper does not define a hardwired variant).
-			return btreeidx.RunAddr(w, btreeidx.Options{})
+			return btreeidx.RunAddr(w, btreeidx.Options{Check: cc})
 		}
 	default:
 		return dsa.Result{}, fmt.Errorf("unknown DSA %q", name)

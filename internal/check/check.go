@@ -371,7 +371,11 @@ func (h *Harness) report(kind FailureKind, reason string) *StallReport {
 
 // --- deterministic PRNG (splitmix64 finalizer over hashed streams) ---
 
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: every deterministic roll in the
+// simulator (fault injection here, the service layer's arrivals, the
+// coherence directory's snoop faults) hashes its inputs through it, so a
+// run replays exactly from its seed.
+func Mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27

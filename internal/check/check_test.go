@@ -4,6 +4,7 @@
 package check_test
 
 import (
+	"errors"
 	"regexp"
 	"strings"
 	"testing"
@@ -114,42 +115,107 @@ func TestBudgetExhaustionReport(t *testing.T) {
 	}
 }
 
-// Every DSA runs fault-free under the full harness (watchdog + invariant
-// checkers) and still matches its golden model: the checkers themselves
-// must not perturb simulation results.
+// An address-cache run that cannot finish inside its budget aborts with
+// a typed budget failure and a queue table, exactly as an X-Cache run
+// does, instead of an untyped timeout string.
+func TestAddrBudgetExhaustionReport(t *testing.T) {
+	_, err := widx.RunAddr(widxWork(), widx.Options{Check: check.Default(), MaxCycles: 500})
+	var f *check.Failure
+	if !errors.As(err, &f) {
+		t.Fatalf("budget abort is not a *check.Failure: %v", err)
+	}
+	if f.Kind != check.FailBudget {
+		t.Fatalf("failure kind %s, want budget", f.Kind)
+	}
+	if f.Report == nil || len(f.Report.Queues) == 0 || !strings.Contains(err.Error(), "walk.jobs") {
+		t.Fatalf("budget failure carries no queue table: %v", err)
+	}
+}
+
+// Every (DSA, kind) pair the sweep runner accepts, plus GraphPulse SSSP,
+// runs fault-free (X-Cache cases carry the bare DSA name) under the full harness (watchdog + invariant checkers)
+// and still matches its golden model; the checkers must not perturb
+// simulation results, so the supervised Result equals the unsupervised
+// one field for field.
 func TestHarnessCleanRunAllDSAs(t *testing.T) {
-	cfg := func() *check.Config { return check.Default() }
+	hw := widxWork()
+	sw := spgemm.P2PGnutella31(200)
+	gw := graphpulse.P2PGnutella08(20)
+	bw := btreeidx.DefaultWork(200)
 	cases := []struct {
 		name string
-		run  func() (dsa.Result, error)
+		run  func(*check.Config) (dsa.Result, error)
 	}{
-		{"widx", func() (dsa.Result, error) {
-			return widx.RunXCache(widxWork(), widx.Options{Check: cfg()})
+		{"widx", func(c *check.Config) (dsa.Result, error) {
+			return widx.RunXCache(hw, widx.Options{Check: c})
 		}},
-		{"dasx", func() (dsa.Result, error) {
-			return dasx.RunXCache(widxWork(), dasx.Options{Check: cfg()})
+		{"widx-addr", func(c *check.Config) (dsa.Result, error) {
+			return widx.RunAddr(hw, widx.Options{Check: c})
 		}},
-		{"sparch", func() (dsa.Result, error) {
-			return spgemm.RunXCache(spgemm.SpArch, spgemm.P2PGnutella31(200), spgemm.Options{Check: cfg()})
+		{"widx-baseline", func(c *check.Config) (dsa.Result, error) {
+			return widx.RunBaseline(hw, widx.Options{Check: c})
 		}},
-		{"gamma", func() (dsa.Result, error) {
-			return spgemm.RunXCache(spgemm.Gamma, spgemm.P2PGnutella31(200), spgemm.Options{Check: cfg()})
+		{"dasx", func(c *check.Config) (dsa.Result, error) {
+			return dasx.RunXCache(hw, dasx.Options{Check: c})
 		}},
-		{"graphpulse", func() (dsa.Result, error) {
-			return graphpulse.RunXCache(graphpulse.P2PGnutella08(20), graphpulse.Options{Check: cfg()})
+		{"dasx-addr", func(c *check.Config) (dsa.Result, error) {
+			return dasx.RunAddr(hw, dasx.Options{Check: c})
 		}},
-		{"btreeidx", func() (dsa.Result, error) {
-			return btreeidx.RunXCache(btreeidx.DefaultWork(200), btreeidx.Options{Check: cfg()})
+		{"dasx-baseline", func(c *check.Config) (dsa.Result, error) {
+			return dasx.RunBaseline(hw, dasx.Options{Check: c})
+		}},
+		{"sparch", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunXCache(spgemm.SpArch, sw, spgemm.Options{Check: c})
+		}},
+		{"sparch-addr", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunAddr(spgemm.SpArch, sw, spgemm.Options{Check: c})
+		}},
+		{"sparch-baseline", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunBaseline(spgemm.SpArch, sw, spgemm.Options{Check: c})
+		}},
+		{"gamma", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunXCache(spgemm.Gamma, sw, spgemm.Options{Check: c})
+		}},
+		{"gamma-addr", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunAddr(spgemm.Gamma, sw, spgemm.Options{Check: c})
+		}},
+		{"gamma-baseline", func(c *check.Config) (dsa.Result, error) {
+			return spgemm.RunBaseline(spgemm.Gamma, sw, spgemm.Options{Check: c})
+		}},
+		{"graphpulse", func(c *check.Config) (dsa.Result, error) {
+			return graphpulse.RunXCache(gw, graphpulse.Options{Check: c})
+		}},
+		{"graphpulse-addr", func(c *check.Config) (dsa.Result, error) {
+			return graphpulse.RunAddr(gw, graphpulse.Options{Check: c})
+		}},
+		{"graphpulse-baseline", func(c *check.Config) (dsa.Result, error) {
+			return graphpulse.RunBaseline(gw, graphpulse.Options{Check: c})
+		}},
+		{"graphpulse-sssp", func(c *check.Config) (dsa.Result, error) {
+			return graphpulse.RunSSSP(gw, graphpulse.Options{Check: c}, 0)
+		}},
+		{"btreeidx", func(c *check.Config) (dsa.Result, error) {
+			return btreeidx.RunXCache(bw, btreeidx.Options{Check: c})
+		}},
+		{"btreeidx-addr", func(c *check.Config) (dsa.Result, error) {
+			return btreeidx.RunAddr(bw, btreeidx.Options{Check: c})
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := tc.run()
+			r, err := tc.run(check.Default())
 			if err != nil {
 				t.Fatalf("supervised clean run failed: %v", err)
 			}
 			if !r.Checked {
 				t.Fatal("clean run did not validate against the golden model")
+			}
+			bare, err := tc.run(nil)
+			if err != nil {
+				t.Fatalf("unsupervised run failed: %v", err)
+			}
+			if r != bare {
+				t.Fatalf("supervision perturbed the result:\n  supervised   %+v\n  unsupervised %+v", r, bare)
 			}
 		})
 	}

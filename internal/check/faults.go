@@ -78,7 +78,7 @@ func (in *Injector) WatchTags(a *metatag.Array) { in.tags = append(in.tags, a) }
 // the stream, and the two salts.
 func (in *Injector) roll(stream, a, b uint64) float64 {
 	z := in.seed ^ stream*0x9e3779b97f4a7c15 ^ a*0xff51afd7ed558ccd ^ b*0xc4ceb9fe1a85ec53
-	return float64(mix64(z)>>11) / (1 << 53)
+	return float64(Mix64(z)>>11) / (1 << 53)
 }
 
 // ReadResponse implements dram.FaultInjector: called once per read

@@ -26,7 +26,6 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
-	"xcache/internal/energy"
 	"xcache/internal/hier"
 	"xcache/internal/mem"
 	"xcache/internal/metatag"
@@ -60,18 +59,15 @@ type Options struct {
 	Cfg       core.Config
 	DRAM      dram.Config
 	MaxCycles int
-	// Check attaches the hardening harness to the X-Cache run. DRAM
-	// drop/delay faults never apply here — the controller's fills are
-	// served by the address-cache level, not a DRAM channel.
+	// Check attaches the hardening harness to the run, whatever its
+	// kind. DRAM drop/delay faults never apply here — the controller's
+	// fills are served by the address-cache level, not a DRAM channel.
 	Check *check.Config
 }
 
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = Config()
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
@@ -190,22 +186,19 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 	}
 	cfg.Sectors = 0 // re-derive from the halved geometry
 
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
-	l2 := addrcache.New(k, addrGeometry(opt.Cfg, 2), d.Req, d.Resp, meter)
-	_, xcReq, xcResp := hier.NewXCOverAddr(k, l2)
-	xc, err := core.Build(k, cfg, Spec(), xcReq, xcResp, meter)
+	h := dsa.NewHarness("BTreeIdx", "zipf", dsa.KindXCache, opt.DRAM)
+	l2 := h.AddrCache(dsa.AddrGeometry(opt.Cfg, 8, 2))
+	_, xcReq, xcResp := hier.NewXCOverAddr(h.K, l2)
+	xc, err := h.XCacheOn(cfg, Spec(), xcReq, xcResp)
 	if err != nil {
 		return dsa.Result{}, err
 	}
-	t, trace := buildWorkload(w, img)
+	t, trace := buildWorkload(w, h.Img)
 	xc.SetEnv(0, t.Root)
 
 	cursor, done := 0, 0
 	okAll := true
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := xc.Ctrl.RespQ.Pop()
 			if !popped {
@@ -229,40 +222,12 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 			}
 			cursor++
 		}
-	})
-	k.Add(pump)
-	h := check.Attach(k, opt.Check)
-	if ok, rep := check.Run(h, k, func() bool { return done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("btree xcache: aborted at %d/%d: %w", done, len(trace), rep.Failure())
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return done == len(trace) },
+		func() string { return fmt.Sprintf("%d/%d probes", done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	if t := xc.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("btree xcache: %w", t)
-	}
-	cst := xc.Ctrl.Stats()
-	return dsa.Result{
-		DSA: "BTreeIdx", Workload: "zipf", Kind: dsa.KindXCache,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: d.Stats().Accesses(), DRAMReadWords: d.Stats().WordsRead,
-		OnChipHits: cst.Hits, OnChipMisses: cst.Misses, HitRate: cst.HitRate(),
-		AvgLoadToUse: cst.AvgLoadToUse(), HitLoadToUse: cst.AvgHitLoadToUse(),
-		L2UP50: cst.L2UHist.Percentile(0.5), L2UP99: cst.L2UHist.Percentile(0.99),
-		Occupancy: cst.OccupancyByteCycles,
-		Energy:    meter.Energy(energy.DefaultParams()), Checked: okAll,
-		FillRetries:  cst.FillRetries,
-		DroppedFills: d.Stats().DroppedResps,
-		ParityScrubs: cst.ParityScrubs,
-	}, nil
-}
-
-// addrGeometry sizes an address cache to the X-Cache config's data bytes
-// divided by div, with 64-byte node blocks.
-func addrGeometry(cfg core.Config, div int) addrcache.Config {
-	blocks := cfg.Sets * cfg.Ways * cfg.WordsPerSector / 8 / div
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	return addrcache.Config{Sets: sets, Ways: ways, BlockWords: 8}
+	return h.XCacheResult(okAll), nil
 }
 
 // treeWalk is the address-based descent (64-byte node blocks).
@@ -306,18 +271,14 @@ func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addr
 // RunAddr probes through an address-tagged cache with an ideal walker.
 func RunAddr(w Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
+	h := dsa.NewHarness("BTreeIdx", "zipf", dsa.KindAddr, opt.DRAM)
 	// The whole on-chip budget, 64-byte (node-sized) blocks.
-	cache := addrcache.New(k, addrGeometry(opt.Cfg, 1), d.Req, d.Resp, meter)
-	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
-	t, trace := buildWorkload(w, img)
+	_, eng := h.Walker(dsa.AddrGeometry(opt.Cfg, 8, 1), opt.Cfg.NumActive)
+	t, trace := buildWorkload(w, h.Img)
 
 	cursor, done := 0, 0
 	okAll := true
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := eng.Resp.Pop()
 			if !popped {
@@ -337,17 +298,10 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 			}
 			cursor++
 		}
-	})
-	k.Add(pump)
-	if !k.RunUntil(func() bool { return done == len(trace) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("btree addr: timeout at %d/%d", done, len(trace))
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return done == len(trace) },
+		func() string { return fmt.Sprintf("%d/%d probes", done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "BTreeIdx", Workload: "zipf", Kind: dsa.KindAddr,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: dst.Accesses(), DRAMReadWords: dst.WordsRead,
-		OnChipHits: cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
+	return h.AddrResult(okAll), nil
 }

@@ -17,9 +17,7 @@ import (
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
 	"xcache/internal/dsa/widx"
-	"xcache/internal/energy"
 	"xcache/internal/hashidx"
-	"xcache/internal/mem"
 	"xcache/internal/metatag"
 	"xcache/internal/program"
 	"xcache/internal/sim"
@@ -33,16 +31,13 @@ type Options struct {
 	RoundSize  int // objects per refill-compute-update round
 	Lookahead  int // collector preload distance (X-Cache runs)
 	ComputePer int // compute cycles per object in the compute phase
-	// Check attaches the hardening harness to the X-Cache run.
+	// Check attaches the hardening harness to the run, whatever its kind.
 	Check *check.Config
 }
 
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.DASXConfig()
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
@@ -185,51 +180,30 @@ func (dp *collector) Tick(cy sim.Cycle) {
 // preloading through meta loads.
 func RunXCache(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec(0))
+	h := dsa.NewHarness("DASX", w.Profile.Name, dsa.KindXCache, opt.DRAM)
+	ix, trace := widx.BuildWorkload(w, h.Img)
+	xc, err := h.XCache(opt.Cfg, Spec(ix.Shift))
 	if err != nil {
 		return dsa.Result{}, err
 	}
-	ix, trace := widx.BuildWorkload(w, sys.Img)
-	prog, err := Spec(ix.Shift).Compile()
-	if err != nil {
-		return dsa.Result{}, err
-	}
-	if err := sys.Cache.Ctrl.LoadProgram(prog); err != nil {
-		return dsa.Result{}, fmt.Errorf("dasx xcache: %w", err)
-	}
-	sys.Cache.SetEnv(0, ix.Table)
-	sys.Cache.SetEnv(1, hashidx.HashMul)
+	xc.SetEnv(0, ix.Table)
+	xc.SetEnv(1, hashidx.HashMul)
 
-	dp := &collector{c: sys.Cache.Ctrl, trace: trace, ix: ix,
+	dp := &collector{c: xc.Ctrl, trace: trace, ix: ix,
 		lookahead: opt.Lookahead, computePer: opt.ComputePer, ok: true}
-	sys.K.Add(dp)
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return dp.done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("dasx xcache: aborted at %d/%d: %w", dp.done, len(trace), rep.Failure())
+	h.K.Add(dp)
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return dp.done == len(trace) },
+		func() string { return fmt.Sprintf("%d/%d", dp.done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("dasx xcache: %w", t)
-	}
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "DASX", Workload: w.Profile.Name, Kind: dsa.KindXCache,
-		Cycles: st.Cycles, DRAMAccesses: st.DRAM.Accesses(), DRAMReadWords: st.DRAM.WordsRead,
-		OnChipHits: st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	return h.XCacheResult(dp.ok), nil
 }
 
 // RunAddr measures the same workload over an address cache with an ideal
 // walker (no hashing cost, no round barriers).
 func RunAddr(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	r, err := widx.RunAddr(w, widx.Options{Cfg: opt.Cfg, DRAM: opt.DRAM, MaxCycles: opt.MaxCycles})
+	r, err := widx.RunAddr(w, widx.Options{Cfg: opt.Cfg, DRAM: opt.DRAM, MaxCycles: opt.MaxCycles, Check: opt.Check})
 	r.DSA = "DASX"
 	r.Kind = dsa.KindAddr
 	return r, err
@@ -240,13 +214,9 @@ func RunAddr(w widx.Work, opt Options) (dsa.Result, error) {
 // hashing coupled into every walk.
 func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
-	cache := addrcache.New(k, widx.AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
-	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
-	ix, trace := widx.BuildWorkload(w, img)
+	h := dsa.NewHarness("DASX", w.Profile.Name, dsa.KindBaseline, opt.DRAM)
+	cache, eng := h.Walker(widx.AddrGeometry(opt.Cfg), opt.Cfg.NumActive)
+	ix, trace := widx.BuildWorkload(w, h.Img)
 
 	var (
 		roundStart = 0
@@ -256,7 +226,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		okAll      = true
 		computing  = sim.Cycle(0)
 	)
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := eng.Resp.Pop()
 			if !popped {
@@ -285,7 +255,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 			if !eng.Jobs.Push(job) {
 				return
 			}
-			meter.AddOps += uint64(hash)
+			h.Meter.AddOps += uint64(hash)
 			issued++
 			inflight++
 		}
@@ -295,17 +265,10 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 			roundStart = roundEnd
 			cache.InvalidateAll()
 		}
-	})
-	k.Add(pump)
-	if !k.RunUntil(func() bool { return done == len(trace) && k.Cycle() >= computing }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("dasx baseline: timeout at %d/%d", done, len(trace))
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return done == len(trace) && h.K.Cycle() >= computing },
+		func() string { return fmt.Sprintf("%d/%d", done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "DASX", Workload: w.Profile.Name, Kind: dsa.KindBaseline,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: dst.Accesses(), DRAMReadWords: dst.WordsRead,
-		OnChipHits: cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
+	return h.AddrResult(okAll), nil
 }

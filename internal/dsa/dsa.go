@@ -1,7 +1,8 @@
-// Package dsa defines the shared measurement vocabulary for the five
-// domain-specific accelerators evaluated in the paper (Widx, DASX,
-// GraphPulse, SpArch, Gamma). Each DSA subpackage provides three runners
-// over the same workload:
+// Package dsa defines the shared measurement vocabulary and run harness
+// for the domain-specific accelerators: the five evaluated in the paper
+// (Widx, DASX, GraphPulse, SpArch, Gamma) and the B+-tree extension
+// (BTreeIdx). Each DSA subpackage provides up to three runners over the
+// same workload:
 //
 //	RunXCache   — the DSA datapath in front of a programmed X-Cache;
 //	RunAddr     — the same datapath over an address-tagged cache with an
@@ -9,8 +10,17 @@
 //	RunBaseline — the original DSA's hardwired orchestration, the paper's
 //	              black bar.
 //
-// All runners validate their functional output against a pure-Go
-// reference before reporting numbers.
+// BTreeIdx has no RunBaseline (the address-cache run is its baseline),
+// and GraphPulse adds RunSSSP, single-source shortest paths on the same
+// event store.
+//
+// Every runner builds its run through one Harness: kernel, image, DRAM
+// channels and meter, the cache under test, one supervised run loop and
+// the Result assembly. A DSA package keeps only its datapath, walker and
+// validation, which every runner checks against a pure-Go reference
+// before reporting numbers. Each package's Options.Check supervises the
+// run (watchdog, invariants, fault injection) whatever its kind; nil runs
+// unsupervised at no cost.
 package dsa
 
 import (

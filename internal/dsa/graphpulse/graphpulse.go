@@ -22,9 +22,7 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
-	"xcache/internal/energy"
 	"xcache/internal/graph"
-	"xcache/internal/mem"
 	"xcache/internal/metatag"
 	"xcache/internal/program"
 	"xcache/internal/sim"
@@ -74,16 +72,13 @@ type Options struct {
 	MaxCycles int
 	PEs       int // processing elements emitting events per cycle
 	Damping   float64
-	// Check attaches the hardening harness to the X-Cache run.
+	// Check attaches the hardening harness to the run, whatever its kind.
 	Check *check.Config
 }
 
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.GraphPulseConfig()
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 500_000_000
@@ -389,75 +384,75 @@ func (e *engine) reindexAdj() {
 	}
 }
 
+// start builds what every event-store run shares: the input graph, the
+// harness, the event store (opt.Cfg.Hardwired decides programmed or
+// hardwired) and the PE array over its dedicated adjacency channel.
+func start(w Work, opt Options, kind dsa.Kind, mode algoMode) (*dsa.Harness, *engine, error) {
+	g := graph.RMAT(w.N, w.E, w.Seed)
+	workload := w.Name
+	if mode == modeSSSP {
+		workload += "/sssp"
+	}
+	h := dsa.NewHarness("GraphPulse", workload, kind, opt.DRAM)
+	xc, err := h.XCache(opt.Cfg, Spec())
+	if err != nil {
+		return nil, nil, err
+	}
+	lay := g.WriteTo(h.Img)
+	e := &engine{mode: mode, c: xc.Ctrl, g: g, lay: lay, adj: adjChannel(h),
+		pes: opt.PEs, damping: opt.Damping, eps: w.Eps, maxSS: w.MaxSS,
+		rank: make([]float64, g.N), inAdj: map[uint64]int{}}
+	h.K.Add(e)
+	return h, e, nil
+}
+
+// adjChannel adds the adjacency channel. GraphPulse streams adjacency over
+// a wide dedicated interface; the event-insertion path, not edge
+// bandwidth, is the design bottleneck Fig 18 studies.
+func adjChannel(h *dsa.Harness) *dram.DRAM {
+	cfg := h.DRAMCfg
+	cfg.TBusPerWord = 0
+	return h.Channel(cfg)
+}
+
+// superstepRun runs the engine to convergence under the harness.
+func superstepRun(h *dsa.Harness, e *engine, opt Options) error {
+	return h.Run(opt.Check, opt.MaxCycles, func() bool { return e.done },
+		func() string { return fmt.Sprintf("superstep %d", e.ss) })
+}
+
+// pagerankChecked validates ranks against the delta-PageRank reference.
+func pagerankChecked(g *graph.Graph, w Work, opt Options, rank []float64) bool {
+	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: opt.Damping, Eps: w.Eps, MaxIter: w.MaxSS})
+	for v := range ref {
+		if math.Abs(ref[v]-rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
+			return false
+		}
+	}
+	return true
+}
+
 // run executes PageRank to convergence over X-Cache (or its hardwired
 // twin) and validates ranks against the delta-PageRank reference.
-func run(w Work, opt Options, hardwired bool) (dsa.Result, error) {
+func run(w Work, opt Options, kind dsa.Kind) (dsa.Result, error) {
 	opt.defaults()
-	cfg := opt.Cfg
-	cfg.Hardwired = hardwired
-	g := graph.RMAT(w.N, w.E, w.Seed)
-
-	sys, err := core.NewSystem(cfg, opt.DRAM, Spec())
+	opt.Cfg.Hardwired = kind == dsa.KindBaseline
+	h, e, err := start(w, opt, kind, modePageRank)
 	if err != nil {
 		return dsa.Result{}, err
 	}
-	lay := g.WriteTo(sys.Img)
-	// GraphPulse streams adjacency over a wide dedicated interface; the
-	// event-insertion path, not edge bandwidth, is the design bottleneck
-	// Fig 18 studies.
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(sys.K, adjCfg, sys.Img)
-
-	e := &engine{c: sys.Cache.Ctrl, g: g, lay: lay, adj: adj,
-		pes: opt.PEs, damping: opt.Damping, eps: w.Eps, maxSS: w.MaxSS,
-		rank: make([]float64, g.N), inAdj: map[uint64]int{}}
-	sys.K.Add(e)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return e.done }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("graphpulse: aborted in superstep %d: %w", e.ss, rep.Failure())
+	if err := superstepRun(h, e, opt); err != nil {
+		return dsa.Result{}, err
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("graphpulse: %w", t)
-	}
-
-	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: opt.Damping, Eps: w.Eps, MaxIter: w.MaxSS})
-	checked := true
-	for v := range ref {
-		if math.Abs(ref[v]-e.rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
-			checked = false
-			break
-		}
-	}
-
-	st := sys.Snapshot()
-	kind := dsa.KindXCache
-	if hardwired {
-		kind = dsa.KindBaseline
-	}
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name, Kind: kind,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: checked,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	return h.XCacheResult(pagerankChecked(e.g, w, opt, e.rank)), nil
 }
 
 // RunXCache measures GraphPulse with X-Cache as the event store.
-func RunXCache(w Work, opt Options) (dsa.Result, error) { return run(w, opt, false) }
+func RunXCache(w Work, opt Options) (dsa.Result, error) { return run(w, opt, dsa.KindXCache) }
 
 // RunBaseline measures the original hardwired event queue (identical
 // structures, fixed-function controller).
-func RunBaseline(w Work, opt Options) (dsa.Result, error) { return run(w, opt, true) }
+func RunBaseline(w Work, opt Options) (dsa.Result, error) { return run(w, opt, dsa.KindBaseline) }
 
 // RunAddr measures the address-based alternative: deltas live in a dense
 // DRAM-resident array accessed read-modify-write through an address
@@ -468,22 +463,11 @@ func RunBaseline(w Work, opt Options) (dsa.Result, error) { return run(w, opt, t
 func RunAddr(w Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
 	g := graph.RMAT(w.N, w.E, w.Seed)
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
-	blocks := opt.Cfg.Sets * opt.Cfg.Ways * opt.Cfg.WordsPerSector / 4
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	cache := addrcache.New(k, addrcache.Config{Sets: sets, Ways: ways, BlockWords: 4}, d.Req, d.Resp, meter)
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(k, adjCfg, img)
-	deltaArr := img.AllocWords(g.N + 8)
-	_ = g.WriteTo(img)
+	h := dsa.NewHarness("GraphPulse", w.Name, dsa.KindAddr, opt.DRAM)
+	cache := h.AddrCache(dsa.AddrGeometry(opt.Cfg, 4, 1))
+	adj := adjChannel(h)
+	deltaArr := h.Img.AllocWords(g.N + 8)
+	_ = g.WriteTo(h.Img)
 
 	// Seed: every vertex starts with delta (1-d)/N, resident in memory.
 	rank := make([]float64, g.N)
@@ -492,7 +476,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 	for v := 0; v < g.N; v++ {
 		rank[v] = init
 		acc[v] = ToFix(init)
-		img.W64(deltaArr+uint64(v)*8, acc[v])
+		h.Img.W64(deltaArr+uint64(v)*8, acc[v])
 	}
 
 	const (
@@ -517,7 +501,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 		}
 		pendWrites = append(pendWrites, a)
 	}
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, ok := cache.RespQ.Pop()
 			if !ok {
@@ -615,29 +599,12 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 			scanning = true
 			scanCursor = 0
 		}
-	})
-	k.Add(pump)
-	if !k.RunUntil(func() bool { return doneAll }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("graphpulse addr: timeout in superstep %d", ss)
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return doneAll },
+		func() string { return fmt.Sprintf("superstep %d", ss) }); err != nil {
+		return dsa.Result{}, err
 	}
-	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: opt.Damping, Eps: w.Eps, MaxIter: w.MaxSS})
-	checked := true
-	for v := range ref {
-		if math.Abs(ref[v]-rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
-			checked = false
-			break
-		}
-	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name, Kind: dsa.KindAddr,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: dst.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		Energy:  meter.Energy(energy.DefaultParams()),
-		Checked: checked,
-	}, nil
+	return h.AddrResult(pagerankChecked(g, w, opt, rank)), nil
 }
 
 // RunSSSP runs single-source shortest paths (unit weights) on the same
@@ -646,33 +613,21 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 // Distances are validated against a BFS reference.
 func RunSSSP(w Work, opt Options, src int) (dsa.Result, error) {
 	opt.defaults()
-	g := graph.RMAT(w.N, w.E, w.Seed)
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec())
+	h, e, err := start(w, opt, dsa.KindXCache, modeSSSP)
 	if err != nil {
 		return dsa.Result{}, err
 	}
-	lay := g.WriteTo(sys.Img)
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(sys.K, adjCfg, sys.Img)
-
 	const inf = int64(1) << 30
-	e := &engine{mode: modeSSSP, src: src, c: sys.Cache.Ctrl, g: g, lay: lay, adj: adj,
-		pes: opt.PEs, damping: opt.Damping, eps: w.Eps, maxSS: w.MaxSS,
-		rank: make([]float64, g.N), settled: make([]int64, g.N), inAdj: map[uint64]int{}}
+	e.src = src
+	e.settled = make([]int64, e.g.N)
 	for v := range e.settled {
 		e.settled[v] = inf
 	}
-	sys.K.Add(e)
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return e.done }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("graphpulse sssp: aborted in superstep %d: %w", e.ss, rep.Failure())
-	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("graphpulse sssp: %w", t)
+	if err := superstepRun(h, e, opt); err != nil {
+		return dsa.Result{}, err
 	}
 
-	ref := graph.BFS(g, src)
+	ref := graph.BFS(e.g, src)
 	checked := true
 	for v := range ref {
 		got := e.settled[v]
@@ -697,19 +652,5 @@ func RunSSSP(w Work, opt Options, src int) (dsa.Result, error) {
 		}
 	}
 
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name + "/sssp", Kind: dsa.KindXCache,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: checked,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	return h.XCacheResult(checked), nil
 }

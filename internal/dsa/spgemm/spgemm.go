@@ -18,9 +18,7 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
-	"xcache/internal/energy"
 	"xcache/internal/hier"
-	"xcache/internal/mem"
 	"xcache/internal/metatag"
 	"xcache/internal/program"
 	"xcache/internal/sim"
@@ -70,7 +68,7 @@ type Options struct {
 	MaxCycles int
 	Lanes     int // multiplier lanes (compute cycles = nnz products / lanes)
 	Lookahead int // SpArch decoupled-preload distance (rows)
-	// Check attaches the hardening harness to the X-Cache run.
+	// Check attaches the hardening harness to the run, whatever its kind.
 	Check *check.Config
 }
 
@@ -82,9 +80,6 @@ func (o *Options) defaults(alg Algorithm) {
 		default:
 			o.Cfg = core.GammaConfig()
 		}
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 200_000_000
@@ -191,9 +186,12 @@ func Spec() program.Spec {
 }
 
 // newStreamer opens the MXS stream port (§6) that feeds matrix A: its
-// own DRAM channel over the same memory image, prefetched sequentially.
-func newStreamer(k *sim.Kernel, dcfg dram.Config, img *mem.Image, from, words uint64) *hier.Stream {
-	return hier.NewStream(k, dram.New(k, dcfg, img), from, words)
+// own DRAM channel over the same memory image, prefetched sequentially,
+// with a FIFO that covers the schedule's largest single take.
+func newStreamer(h *dsa.Harness, from, words uint64, sched []rowRequest) *hier.Stream {
+	s := hier.NewStream(h.K, h.Channel(h.DRAMCfg), from, words)
+	s.SetBuffer(maxStreamTake(sched) + 8)
+	return s
 }
 
 // maxStreamTake returns the largest single stream consumption in the
@@ -376,48 +374,30 @@ func runX(alg Algorithm, w Work, opt Options, hardwired bool) (dsa.Result, error
 	}
 	cfg.RespDataWords = 2*maxRow + 8
 
-	sys, err := core.NewSystem(cfg, opt.DRAM, Spec())
-	if err != nil {
-		return dsa.Result{}, err
-	}
-	bl := fetch.WriteTo(sys.Img)
-	al := a.WriteTo(sys.Img)
-	sys.Cache.SetEnv(0, bl.RowPtr)
-	sys.Cache.SetEnv(1, bl.CV)
-
-	sched := buildSchedule(alg, a, b)
-	str := newStreamer(sys.K, opt.DRAM, sys.Img, al.CV, uint64(2*a.NNZ()))
-	str.SetBuffer(maxStreamTake(sched) + 8)
-	dp := &datapath{c: sys.Cache.Ctrl, stream: str, b: fetch, sched: sched,
-		lanes: opt.Lanes, lookahead: opt.Lookahead, ok: true}
-	sys.K.Add(dp)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, dp.finished, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("%s xcache: aborted at %d/%d rows: %w", alg, dp.done, len(sched), rep.Failure())
-	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("%s xcache: %w", alg, t)
-	}
-	st := sys.Snapshot()
 	kind := dsa.KindXCache
 	if hardwired {
 		kind = dsa.KindBaseline
 	}
-	return dsa.Result{
-		DSA: string(alg), Workload: "p2p-31", Kind: kind,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + str.DRAMStats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + str.DRAMStats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	h := dsa.NewHarness(string(alg), "p2p-31", kind, opt.DRAM)
+	xc, err := h.XCache(cfg, Spec())
+	if err != nil {
+		return dsa.Result{}, err
+	}
+	bl := fetch.WriteTo(h.Img)
+	al := a.WriteTo(h.Img)
+	xc.SetEnv(0, bl.RowPtr)
+	xc.SetEnv(1, bl.CV)
+
+	sched := buildSchedule(alg, a, b)
+	str := newStreamer(h, al.CV, uint64(2*a.NNZ()), sched)
+	dp := &datapath{c: xc.Ctrl, stream: str, b: fetch, sched: sched,
+		lanes: opt.Lanes, lookahead: opt.Lookahead, ok: true}
+	h.K.Add(dp)
+	if err := h.Run(opt.Check, opt.MaxCycles, dp.finished,
+		func() string { return fmt.Sprintf("%d/%d rows", dp.done, len(sched)) }); err != nil {
+		return dsa.Result{}, err
+	}
+	return h.XCacheResult(dp.ok), nil
 }
 
 // RunXCache measures the algorithm over a programmed X-Cache.
@@ -497,24 +477,18 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 	}
 	sched := buildSchedule(alg, a, b)
 
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
-	geo := addrGeometry(opt.Cfg)
-	cache := addrcache.New(k, geo, d.Req, d.Resp, meter)
-	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
-	bl := fetch.WriteTo(img)
-	al := a.WriteTo(img)
-	str := newStreamer(k, opt.DRAM, img, al.CV, uint64(2*a.NNZ()))
-	str.SetBuffer(maxStreamTake(sched) + 8)
+	h := dsa.NewHarness(string(alg), "p2p-31", dsa.KindAddr, opt.DRAM)
+	_, eng := h.Walker(dsa.AddrGeometry(opt.Cfg, 4, 1), opt.Cfg.NumActive)
+	bl := fetch.WriteTo(h.Img)
+	al := a.WriteTo(h.Img)
+	str := newStreamer(h, al.CV, uint64(2*a.NNZ()), sched)
 
 	var (
 		issue, done int
 		busyTil     sim.Cycle
 		okAll       = true
 	)
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := eng.Resp.Pop()
 			if !popped {
@@ -549,32 +523,10 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 			}
 			issue++
 		}
-	})
-	k.Add(pump)
-
-	if !k.RunUntil(func() bool { return done == len(sched) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("%s addr: timeout at %d/%d rows", alg, done, len(sched))
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return done == len(sched) },
+		func() string { return fmt.Sprintf("%d/%d rows", done, len(sched)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: string(alg), Workload: "p2p-31", Kind: dsa.KindAddr,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses() + str.DRAMStats().Accesses(),
-		DRAMReadWords: dst.WordsRead + str.DRAMStats().WordsRead,
-		OnChipHits:    cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
-}
-
-// addrGeometry mirrors widx.AddrGeometry without the import cycle risk:
-// same data capacity, 32-byte blocks, 8 ways.
-func addrGeometry(cfg core.Config) addrcache.Config {
-	blocks := cfg.Sets * cfg.Ways * cfg.WordsPerSector / 4
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	return addrcache.Config{Sets: sets, Ways: ways, BlockWords: 4}
+	return h.AddrResult(okAll), nil
 }

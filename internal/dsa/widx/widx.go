@@ -15,7 +15,6 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
-	"xcache/internal/energy"
 	"xcache/internal/hashidx"
 	"xcache/internal/mem"
 	"xcache/internal/metatag"
@@ -63,7 +62,8 @@ type Options struct {
 	BaselineContexts int // hardware walkers in the original Widx
 	Mode             ctrl.ExecMode
 	// Check attaches the hardening harness (watchdog, invariant checkers,
-	// fault injection) to the X-Cache run; nil runs unsupervised.
+	// fault injection) to the run, whatever its kind; nil runs
+	// unsupervised.
 	Check *check.Config
 	// Trace, when non-nil, receives the controller's meta-tag reference
 	// trace (RunXCache only); internal/approx captures through it.
@@ -73,9 +73,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.WidxConfig()
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
@@ -216,59 +213,25 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 // RunXCache measures the Widx datapath over a programmed X-Cache.
 func RunXCache(w Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	// Compile with a placeholder shift, then install the program compiled
-	// for the actual (power-of-two-rounded) bucket count.
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec(0))
+	h := dsa.NewHarness("Widx", w.Profile.Name, dsa.KindXCache, opt.DRAM)
+	ix, trace := BuildWorkload(w, h.Img)
+	xc, err := h.XCache(opt.Cfg, Spec(ix.Shift))
 	if err != nil {
 		return dsa.Result{}, err
 	}
-	ix, trace := BuildWorkload(w, sys.Img)
-	if err := sys.Cache.Ctrl.LoadProgram(mustProg(Spec(ix.Shift))); err != nil {
-		return dsa.Result{}, fmt.Errorf("widx xcache: %w", err)
-	}
-	sys.Cache.SetEnv(0, ix.Table)
-	sys.Cache.SetEnv(1, hashidx.HashMul)
+	xc.SetEnv(0, ix.Table)
+	xc.SetEnv(1, hashidx.HashMul)
 	if opt.Trace != nil {
-		sys.Cache.Ctrl.SetTraceSink(opt.Trace)
+		xc.Ctrl.SetTraceSink(opt.Trace)
 	}
 
-	dp := &datapath{c: sys.Cache.Ctrl, trace: trace, ix: ix, issueW: opt.IssueWidth, ok: true}
-	sys.K.Add(dp)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return dp.done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("widx xcache: aborted at %d/%d probes: %w", dp.done, len(trace), rep.Failure())
+	dp := &datapath{c: xc.Ctrl, trace: trace, ix: ix, issueW: opt.IssueWidth, ok: true}
+	h.K.Add(dp)
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return dp.done == len(trace) },
+		func() string { return fmt.Sprintf("%d/%d probes", dp.done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("widx xcache: %w", t)
-	}
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "Widx", Workload: w.Profile.Name, Kind: dsa.KindXCache,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead,
-		OnChipHits:    st.Ctrl.Hits,
-		OnChipMisses:  st.Ctrl.Misses,
-		HitRate:       st.Ctrl.HitRate(),
-		AvgLoadToUse:  st.Ctrl.AvgLoadToUse(),
-		HitLoadToUse:  st.Ctrl.AvgHitLoadToUse(),
-		L2UP50:        st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy:    st.Ctrl.OccupancyByteCycles,
-		Energy:       st.Energy,
-		Checked:      dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
-}
-
-func mustProg(s program.Spec) *program.Program {
-	p, err := s.Compile()
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return h.XCacheResult(dp.ok), nil
 }
 
 // probeWalk is the address-based walk for one probe: bucket head, then
@@ -318,31 +281,18 @@ func (p *probeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addr
 
 // AddrGeometry sizes an address cache to the same data capacity as an
 // X-Cache configuration (same byte count, 32-byte blocks, 8 ways).
-func AddrGeometry(cfg core.Config) addrcache.Config {
-	blocks := cfg.Sets * cfg.Ways * cfg.WordsPerSector / 4
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	return addrcache.Config{Sets: sets, Ways: ways, BlockWords: 4}
-}
+func AddrGeometry(cfg core.Config) addrcache.Config { return dsa.AddrGeometry(cfg, 4, 1) }
 
 // runWalked is shared by RunAddr (hash=0: ideal walker) and RunBaseline
 // (hash=Profile.HashCycles on every probe: the original Widx datapath).
 func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (dsa.Result, error) {
-	opt.defaults()
-	k := sim.NewKernel()
-	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
-	meter := &energy.Counters{}
-	cache := addrcache.New(k, AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
-	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: contexts}, cache)
-	ix, trace := BuildWorkload(w, img)
+	h := dsa.NewHarness("Widx", w.Profile.Name, kind, opt.DRAM)
+	_, eng := h.Walker(AddrGeometry(opt.Cfg), contexts)
+	ix, trace := BuildWorkload(w, h.Img)
 
 	cursor, done := 0, 0
 	okAll := true
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
+	h.K.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := eng.Resp.Pop()
 			if !popped {
@@ -363,28 +313,15 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 				break
 			}
 			// Hashing energy: one ALU op per hash cycle on the datapath.
-			meter.AddOps += uint64(hashCycles)
+			h.Meter.AddOps += uint64(hashCycles)
 			cursor++
 		}
-	})
-	k.Add(pump)
-
-	if !k.RunUntil(func() bool { return done == len(trace) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("widx %s: timeout at %d/%d probes", kind, done, len(trace))
+	}))
+	if err := h.Run(opt.Check, opt.MaxCycles, func() bool { return done == len(trace) },
+		func() string { return fmt.Sprintf("%d/%d probes", done, len(trace)) }); err != nil {
+		return dsa.Result{}, err
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "Widx", Workload: w.Profile.Name, Kind: kind,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses(),
-		DRAMReadWords: dst.WordsRead,
-		OnChipHits:    cache.Stats().Hits,
-		OnChipMisses:  cache.Stats().Misses,
-		HitRate:       cache.Stats().HitRate(),
-		AvgLoadToUse:  eng.Stats().AvgLoadToUse(),
-		Energy:        meter.Energy(energy.DefaultParams()),
-		Checked:       okAll,
-	}, nil
+	return h.AddrResult(okAll), nil
 }
 
 // RunAddr measures the address-tagged cache with an ideal walker.

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"xcache/internal/check"
+	"xcache/internal/core"
 	"xcache/internal/dsa"
+	"xcache/internal/dsa/widx"
 )
 
 // fakeResult fabricates a plausible successful result for seam-scripted
@@ -78,6 +80,30 @@ func TestClassifyTaxonomy(t *testing.T) {
 	re := classify(faulted, rep(check.FailStall), 1)
 	if re.Report == nil || re.Report.Cycle != 7 {
 		t.Errorf("stall report not attached: %+v", re.Report)
+	}
+}
+
+// An address-cache run that exhausts its cycle budget reaches the runner
+// as a typed budget failure with its stall report, not as an untyped
+// error. The seam only shrinks the budget, which Spec does not carry.
+func TestAddrBudgetClassified(t *testing.T) {
+	s := Spec{DSA: DSAWidx, Kind: dsa.KindAddr, Workload: "TPC-H-22", Scale: 400, Check: true}
+	r := New(1)
+	r.exec = func(s Spec) (dsa.Result, error) {
+		p, err := s.tpchProfile()
+		if err != nil {
+			return dsa.Result{}, err
+		}
+		return widx.RunAddr(widx.DefaultWork(p, s.workScale()),
+			widx.Options{Cfg: core.WidxConfig().Scaled(CacheDiv(s.Scale)), Check: s.checkConfig(), MaxCycles: 500})
+	}
+	_, err := r.One(s)
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("not a RunError: %v", err)
+	}
+	if re.Kind != FailBudget || re.Report == nil {
+		t.Fatalf("kind %s (report %v), want budget with a report: %v", re.Kind, re.Report != nil, err)
 	}
 }
 

@@ -130,7 +130,7 @@ func newDirectory(k *sim.Kernel, l2 *ctrl.Controller, bridge *memBridge, faults 
 		l2ByID:       map[uint64]*dirTxn{},
 		wbIDs:        map[uint64]metatag.Key{},
 		faults:       faults,
-		rng:          mixCoh(faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
+		rng:          check.Mix64(faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
 	}
 	k.Add(d)
 	return d
@@ -187,7 +187,7 @@ func (d *Directory) gc(key metatag.Key) {
 // roll draws a deterministic uniform [0,1) for fault decisions.
 func (d *Directory) roll() float64 {
 	d.rng += 0x9e3779b97f4a7c15
-	return float64(mixCoh(d.rng)>>11) / float64(1<<53)
+	return float64(check.Mix64(d.rng)>>11) / float64(1<<53)
 }
 
 // Tick implements sim.Component.
@@ -837,12 +837,3 @@ func (s *CohSystem) Idle() bool {
 
 // Err surfaces the directory's latched protocol violation, if any.
 func (s *CohSystem) Err() error { return s.Dir.err }
-
-// mixCoh is the splitmix64 finalizer driving deterministic fault rolls.
-func mixCoh(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
-}

@@ -1,9 +1,13 @@
 package serve
 
-import "math"
+import (
+	"math"
+
+	"xcache/internal/check"
+)
 
 // The service's randomness follows internal/check's injector discipline:
-// every decision is a stateless splitmix64-style hash of (seed, stream,
+// every decision is a stateless check.Mix64 hash of (seed, stream,
 // cycle, salt). No hidden PRNG state means a run is exactly reproducible
 // from its seed regardless of tick order, worker count, or which fault
 // classes are enabled — the property the chaos soak's byte-stable-JSON
@@ -14,19 +18,11 @@ const (
 	streamPhase                // per-tenant burst phase offset
 )
 
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
 // roll returns a uniform value in [0,1) determined entirely by the seed,
 // the stream, and the two salts.
 func roll(seed, stream, a, b uint64) float64 {
 	z := seed ^ stream*0x9e3779b97f4a7c15 ^ a*0xff51afd7ed558ccd ^ b*0xc4ceb9fe1a85ec53
-	return float64(mix64(z)>>11) / (1 << 53)
+	return float64(check.Mix64(z)>>11) / (1 << 53)
 }
 
 // zipfKey maps a uniform u in [0,1) onto [0, n) with a power-law

@@ -527,7 +527,7 @@ func expandTenants(cfg Config) []tenantState {
 				slo: uint64(g.SLO), sloFactor: 1,
 			}
 			if g.BurstLen > 0 {
-				t.phase = mix64(cfg.Seed^uint64(ti)*0x9e3779b97f4a7c15^streamPhase) % uint64(g.BurstLen)
+				t.phase = check.Mix64(cfg.Seed^uint64(ti)*0x9e3779b97f4a7c15^streamPhase) % uint64(g.BurstLen)
 			}
 			out = append(out, t)
 		}
@@ -538,11 +538,11 @@ func expandTenants(cfg Config) []tenantState {
 // valueOf is the seeded content of array[key], the oracle every OK
 // response is checked against.
 func (s *Service) valueOf(key uint64) uint64 {
-	return mix64(key*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
+	return check.Mix64(key*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
 }
 
 func (s *Service) shardOf(key uint64) int {
-	return int(mix64(key+0x2545f4914f6cdd1d) % uint64(len(s.shards)))
+	return int(check.Mix64(key+0x2545f4914f6cdd1d) % uint64(len(s.shards)))
 }
 
 // effRate is the tenant's offered arrival probability this cycle: the
