@@ -92,9 +92,10 @@ approx-check:
 # FuzzDRAMSched pins the DRAM scheduler against its verbatim pre-slab
 # copy in lockstep, FuzzImage the paged memory image against a
 # word-map oracle, and FuzzSectorAlloc the bitmap sector allocator
-# against its verbatim []bool first-fit copy.
+# against its verbatim []bool first-fit copy, and FuzzAddrCache the
+# address cache against its verbatim pre-slab copy in lockstep.
 fuzz-smoke:
-	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/mem ./internal/dataram
+	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/mem ./internal/dataram ./internal/addrcache
 
 # Open-ended fuzzing (not part of ci): 30s per target, promote anything
 # interesting from the build cache into testdata/fuzz/ before committing.
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDRAMSched -fuzztime 30s ./internal/dram
 	$(GO) test -fuzz FuzzImage -fuzztime 30s ./internal/mem
 	$(GO) test -fuzz FuzzSectorAlloc -fuzztime 30s ./internal/dataram
+	$(GO) test -fuzz FuzzAddrCache -fuzztime 30s ./internal/addrcache
 
 # Coherence litmus + protocol suite, race-gated: the golden-pinned litmus
 # outcomes (store buffering, message passing, load buffering, write

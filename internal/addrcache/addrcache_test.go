@@ -1,6 +1,7 @@
 package addrcache
 
 import (
+	"strings"
 	"testing"
 
 	"xcache/internal/dram"
@@ -109,23 +110,23 @@ type chainWalk struct {
 	state  int
 }
 
-func (w *chainWalk) Next(blockBase uint64, data []uint64) (Step, *Result) {
+func (w *chainWalk) Next(blockBase uint64, data []uint64) (Step, Result, bool) {
 	switch w.state {
 	case 0: // issue head load, after optional hash compute
 		w.state = 1
 		w.cur = w.head
-		return Step{Addr: w.head, ComputeCycles: w.hash}, nil
+		return Step{Addr: w.head, ComputeCycles: w.hash}, Result{}, false
 	default:
 		off := (w.cur - blockBase) / 8
 		next, val := data[off], data[off+1]
 		if val == w.target {
-			return Step{}, &Result{Found: true, Value: val, Words: 1}
+			return Step{}, Result{Found: true, Value: val, Words: 1}, true
 		}
 		if next == 0 {
-			return Step{}, &Result{Found: false}
+			return Step{}, Result{Found: false}, true
 		}
 		w.cur = next
-		return Step{Addr: next}, nil
+		return Step{Addr: next}, Result{}, false
 	}
 }
 
@@ -298,5 +299,51 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	c.ReqQ.MustPush(Access{ID: 2, Addr: base, Issued: 0})
 	if r := await(t, k, c, 1)[0]; r.Data[0] != 42 {
 		t.Fatalf("readback after writeback: %d", r.Data[0])
+	}
+}
+
+// TestCheckInvariantsReportsSkewedLedger builds a ledger with one resident
+// line and two misses in flight, then skews each field in turn.
+func TestCheckInvariantsReportsSkewedLedger(t *testing.T) {
+	cases := []struct {
+		name, want string
+		skew       func(c *Cache, a, b *mshr)
+	}{
+		{"count", "live MSHR count 3, but 2", func(c *Cache, a, b *mshr) { c.live++ }},
+		{"capacity", "5 live MSHRs, capacity 4", func(c *Cache, a, b *mshr) { c.live = 5 }},
+		{"duplicate", "both hold block", func(c *Cache, a, b *mshr) { b.block = a.block }},
+		{"no waiters", "holds 0 waiters", func(c *Cache, a, b *mshr) { a.n = 0 }},
+		{"too many waiters", "holds 9 waiters", func(c *Cache, a, b *mshr) { b.n = 9 }},
+		{"resident", "is resident", func(c *Cache, a, b *mshr) {
+			s := c.setOf(a.block)
+			c.lines[s+1] = line{valid: true, tag: a.block}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, img, _, c := setup(t, Config{Sets: 4, Ways: 2, MSHRs: 4})
+			base := img.AllocWords(64)
+			serve(k, c, Access{Addr: base})
+			c.ReqQ.MustPush(Access{ID: 1, Addr: base + 32})
+			c.ReqQ.MustPush(Access{ID: 2, Addr: base + 64})
+			k.Run(4)
+			var live []*mshr
+			for i := range c.mshrs {
+				if c.mshrs[i].live {
+					live = append(live, &c.mshrs[i])
+				}
+			}
+			if len(live) != 2 || c.live != 2 {
+				t.Fatalf("%d live MSHRs (count %d), want 2 in flight", len(live), c.live)
+			}
+			if err := c.CheckInvariants(k.Cycle()); err != nil {
+				t.Fatalf("healthy ledger reported: %v", err)
+			}
+			tc.skew(c, live[0], live[1])
+			err := c.CheckInvariants(k.Cycle())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("skewed ledger reported %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

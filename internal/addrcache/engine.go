@@ -20,10 +20,12 @@ type Result struct {
 }
 
 // Walk is a stateful data-structure traversal. Next receives the block
-// data of the previous step (nil on the first call, with the block base
-// address) and returns either the next step or a final result.
+// base address and data of the previous step (0 and nil on the first
+// call) and returns either the next step or, with done set, the final
+// result. data is the engine's response buffer, valid only during the
+// call: Next must not retain it.
 type Walk interface {
-	Next(blockBase uint64, data []uint64) (Step, *Result)
+	Next(blockBase uint64, data []uint64) (step Step, res Result, done bool)
 }
 
 // Job submits a walk to the engine.
@@ -90,6 +92,7 @@ type Engine struct {
 	cache *Cache
 	ctxs  []walkCtx
 	stats EngineStats
+	resp  AccessResp // the cache response being routed; Walk.Next reads its words
 }
 
 // resultBuffered charges the on-chip staging of a walk's produced words:
@@ -143,16 +146,15 @@ func (e *Engine) Idle() bool {
 func (e *Engine) Tick(cy sim.Cycle) {
 	// Route cache responses back to waiting contexts.
 	for {
-		resp, ok := e.cache.RespQ.Peek()
-		if !ok {
+		var ok bool
+		if e.resp, ok = e.cache.RespQ.Pop(); !ok {
 			break
 		}
-		ctx := &e.ctxs[resp.ID]
-		if ctx.state != ctxWaitMem {
+		i := int(e.resp.ID)
+		if e.ctxs[i].state != ctxWaitMem {
 			panic("addrcache: response for non-waiting context")
 		}
-		e.cache.RespQ.Pop()
-		e.advance(cy, ctx, resp.BlockBase, resp.Data)
+		e.advance(cy, i, e.resp.BlockBase, e.resp.Data[:e.resp.Words])
 	}
 
 	for i := range e.ctxs {
@@ -165,19 +167,21 @@ func (e *Engine) Tick(cy sim.Cycle) {
 			}
 			ctx.job = job
 			e.stats.Jobs++
-			e.advance(cy, ctx, 0, nil)
+			e.advance(cy, i, 0, nil)
 		case ctxCompute:
 			if ctx.readyAt <= cy {
-				e.issue(cy, ctx)
+				e.issue(cy, i)
 			}
 		}
 	}
 }
 
-// advance feeds data to the walk and handles its next step or result.
-func (e *Engine) advance(cy sim.Cycle, ctx *walkCtx, blockBase uint64, data []uint64) {
-	step, res := ctx.job.W.Next(blockBase, data)
-	if res != nil {
+// advance feeds data to context i's walk and handles its next step or
+// result.
+func (e *Engine) advance(cy sim.Cycle, i int, blockBase uint64, data []uint64) {
+	ctx := &e.ctxs[i]
+	step, res, done := ctx.job.W.Next(blockBase, data)
+	if done {
 		e.resultBuffered(res.Words)
 		lat := uint64(cy - ctx.job.Issued)
 		e.stats.L2USum += lat
@@ -185,7 +189,7 @@ func (e *Engine) advance(cy sim.Cycle, ctx *walkCtx, blockBase uint64, data []ui
 		if lat > e.stats.L2UMax {
 			e.stats.L2UMax = lat
 		}
-		e.Resp.MustPush(JobResp{ID: ctx.job.ID, Result: *res})
+		e.Resp.MustPush(JobResp{ID: ctx.job.ID, Result: res})
 		ctx.state = ctxIdle
 		return
 	}
@@ -197,18 +201,14 @@ func (e *Engine) advance(cy sim.Cycle, ctx *walkCtx, blockBase uint64, data []ui
 		ctx.readyAt = cy + sim.Cycle(step.ComputeCycles)
 		return
 	}
-	e.issue(cy, ctx)
+	e.issue(cy, i)
 }
 
-func (e *Engine) issue(cy sim.Cycle, ctx *walkCtx) {
-	idx := uint64(0)
-	for i := range e.ctxs {
-		if &e.ctxs[i] == ctx {
-			idx = uint64(i)
-			break
-		}
-	}
-	if !e.cache.ReqQ.Push(Access{ID: idx, Addr: ctx.step.Addr, Issued: cy}) {
+// issue sends context i's step address to the cache; the access ID is
+// the context index.
+func (e *Engine) issue(cy sim.Cycle, i int) {
+	ctx := &e.ctxs[i]
+	if !e.cache.ReqQ.Push(Access{ID: uint64(i), Addr: ctx.step.Addr, Issued: cy}) {
 		// Port busy: stay in compute state and retry next cycle.
 		ctx.state = ctxCompute
 		ctx.readyAt = cy + 1

@@ -89,7 +89,7 @@ func (f FaultConfig) Any() bool {
 const defaultFillTimeout = 1024
 
 // selfChecker is implemented by components that can audit their own
-// invariants after a step (ctrl.Controller, dram.DRAM).
+// invariants after a step (ctrl.Controller, dram.DRAM, addrcache.Cache).
 type selfChecker interface {
 	CheckInvariants(c sim.Cycle) error
 }

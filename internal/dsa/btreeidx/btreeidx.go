@@ -238,20 +238,20 @@ type treeWalk struct {
 	begun bool
 }
 
-func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	if !tw.begun {
 		tw.begun = true
 		tw.cur = tw.t.Root
-		return addrcache.Step{Addr: tw.cur}, nil
+		return addrcache.Step{Addr: tw.cur}, addrcache.Result{}, false
 	}
 	node := data[(tw.cur-blockBase)/8:]
 	if node[7] == 1 { // leaf
 		for j := 0; j < 3; j++ {
 			if node[j] == tw.key {
-				return addrcache.Step{}, &addrcache.Result{Found: true, Value: node[3+j], Words: 1}
+				return addrcache.Step{}, addrcache.Result{Found: true, Value: node[3+j], Words: 1}, true
 			}
 		}
-		return addrcache.Step{}, &addrcache.Result{Found: false}
+		return addrcache.Step{}, addrcache.Result{Found: false}, true
 	}
 	slot := 3
 	for j := 0; j < 3; j++ {
@@ -262,10 +262,10 @@ func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addr
 	}
 	child := node[3+slot]
 	if child == 0 {
-		return addrcache.Step{}, &addrcache.Result{Found: false}
+		return addrcache.Step{}, addrcache.Result{Found: false}, true
 	}
 	tw.cur = child
-	return addrcache.Step{Addr: child}, nil
+	return addrcache.Step{Addr: child}, addrcache.Result{}, false
 }
 
 // RunAddr probes through an address-tagged cache with an ideal walker.
@@ -291,11 +291,8 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 				okAll = false
 			}
 		}
-		for cursor < len(trace) {
-			job := addrcache.Job{ID: uint64(cursor), W: &treeWalk{t: t, key: trace[cursor]}, Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
+		for cursor < len(trace) && eng.Jobs.CanPush() {
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(cursor), W: &treeWalk{t: t, key: trace[cursor]}, Issued: cy})
 			cursor++
 		}
 	}))

@@ -423,11 +423,11 @@ type rowWalk struct {
 	lastBlk    uint64
 }
 
-func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	switch rw.stage {
 	case 0:
 		rw.stage = 1
-		return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key)*8}, nil
+		return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key)*8}, addrcache.Result{}, false
 	case 1:
 		off := (rw.rowPtr + uint64(rw.key)*8 - blockBase) / 8
 		rw.start = int64(data[off])
@@ -436,7 +436,7 @@ func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrc
 		} else {
 			// row_ptr[k+1] falls in the next block.
 			rw.stage = 2
-			return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key+1)*8}, nil
+			return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key+1)*8}, addrcache.Result{}, false
 		}
 		return rw.beginRow()
 	case 2:
@@ -444,17 +444,17 @@ func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrc
 		return rw.beginRow()
 	default:
 		if rw.nextBlk > rw.lastBlk {
-			return addrcache.Step{}, &addrcache.Result{Found: true, Words: int(2 * (rw.end - rw.start))}
+			return addrcache.Step{}, addrcache.Result{Found: true, Words: int(2 * (rw.end - rw.start))}, true
 		}
 		st := addrcache.Step{Addr: rw.nextBlk}
 		rw.nextBlk += 32
-		return st, nil
+		return st, addrcache.Result{}, false
 	}
 }
 
-func (rw *rowWalk) beginRow() (addrcache.Step, *addrcache.Result) {
+func (rw *rowWalk) beginRow() (addrcache.Step, addrcache.Result, bool) {
 	if rw.end == rw.start {
-		return addrcache.Step{}, &addrcache.Result{Found: true, Words: 0}
+		return addrcache.Step{}, addrcache.Result{Found: true, Words: 0}, true
 	}
 	rw.stage = 3
 	first := rw.cv + uint64(2*rw.start)*8
@@ -463,7 +463,7 @@ func (rw *rowWalk) beginRow() (addrcache.Step, *addrcache.Result) {
 	rw.lastBlk = last &^ 31
 	st := addrcache.Step{Addr: rw.nextBlk}
 	rw.nextBlk += 32
-	return st, nil
+	return st, addrcache.Result{}, false
 }
 
 // RunAddr measures the address-tagged cache with an ideal walker.
@@ -512,15 +512,14 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 			if cy < busyTil && issue > done {
 				break
 			}
-			if !str.Take(sched[issue].streamWords) {
+			// Test the job slot before taking stream words: a refused
+			// job must leave its A elements in the stream.
+			if !eng.Jobs.CanPush() || !str.Take(sched[issue].streamWords) {
 				break
 			}
-			job := addrcache.Job{ID: uint64(issue),
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(issue),
 				W:      &rowWalk{rowPtr: bl.RowPtr, cv: bl.CV, key: sched[issue].key},
-				Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
+				Issued: cy})
 			issue++
 		}
 	}))

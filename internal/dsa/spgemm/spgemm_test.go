@@ -132,3 +132,22 @@ func TestInnerProductDataflow(t *testing.T) {
 		t.Errorf("X-Cache (%d cyc) not faster than addr (%d cyc) on inner product", x.Cycles, a.Cycles)
 	}
 }
+
+// TestSpArchAddrDeepLookahead runs the address-cache SpArch with a preload
+// distance past the walk engine's job queue, so the pump meets a full
+// queue. A refused job must leave its A elements in the stream: taking
+// them anyway would starve the stream before the last rows issue.
+func TestSpArchAddrDeepLookahead(t *testing.T) {
+	w := P2PGnutella31(20)
+	ref, err := RunAddr(SpArch, w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunAddr(SpArch, w, Options{Lookahead: 64, MaxCycles: 2 * int(ref.Cycles)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Checked {
+		t.Fatal("B-row walks did not match matrix B")
+	}
+}

@@ -251,31 +251,31 @@ type probeWalk struct {
 	cur   uint64
 }
 
-func (p *probeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (p *probeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	switch p.stage {
 	case 0:
 		p.stage = 1
 		p.cur = p.ix.HeadAddr(p.ix.BucketOf(p.key))
-		return addrcache.Step{Addr: p.cur, ComputeCycles: p.hash}, nil
+		return addrcache.Step{Addr: p.cur, ComputeCycles: p.hash}, addrcache.Result{}, false
 	case 1:
 		head := data[(p.cur-blockBase)/8]
 		if head == 0 {
-			return addrcache.Step{}, &addrcache.Result{Found: false}
+			return addrcache.Step{}, addrcache.Result{Found: false}, true
 		}
 		p.stage = 2
 		p.cur = head
-		return addrcache.Step{Addr: head}, nil
+		return addrcache.Step{Addr: head}, addrcache.Result{}, false
 	default:
 		off := (p.cur - blockBase) / 8
 		nodeKey, rid, next := data[off], data[off+1], data[off+2]
 		if nodeKey == p.key {
-			return addrcache.Step{}, &addrcache.Result{Found: true, Value: rid, Words: 1}
+			return addrcache.Step{}, addrcache.Result{Found: true, Value: rid, Words: 1}, true
 		}
 		if next == 0 {
-			return addrcache.Step{}, &addrcache.Result{Found: false}
+			return addrcache.Step{}, addrcache.Result{Found: false}, true
 		}
 		p.cur = next
-		return addrcache.Step{Addr: next}, nil
+		return addrcache.Step{Addr: next}, addrcache.Result{}, false
 	}
 }
 
@@ -305,13 +305,12 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 				okAll = false
 			}
 		}
-		for cursor < len(trace) {
-			job := addrcache.Job{ID: uint64(cursor),
+		// Build a walk only when the engine takes it (walk.jobs is
+		// never clogged, so CanPush holds for the MustPush).
+		for cursor < len(trace) && eng.Jobs.CanPush() {
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(cursor),
 				W:      &probeWalk{ix: ix, key: trace[cursor], hash: hashCycles},
-				Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
+				Issued: cy})
 			// Hashing energy: one ALU op per hash cycle on the datapath.
 			h.Meter.AddOps += uint64(hashCycles)
 			cursor++
