@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt golden race faultsmoke loc-delta soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff bench bench-json bench-json-0 bench-diff ci
+.PHONY: verify vet fmt golden race faultsmoke loc-delta soak servesmoke slosmoke fuzz-smoke fuzz litmus execdiff bench bench-json bench-json-0 bench-diff ci
 
 # Tier-1: the gate every change must pass (see ROADMAP.md), plus the
 # static gates and the race detector over the parallel sweep engine.
@@ -69,24 +69,12 @@ servesmoke:
 slosmoke:
 	$(GO) test -race -count=1 -run 'TestSLOGovernorThrottles|TestSLOSlackBudget|TestSLOGovernorRecovers|TestChannelOutageRecovery|TestMultiChannelKnee|TestMuxFailover' ./internal/serve
 
-# Approx-tier validation: the internal/approx unit+property tests plus
-# the scale-25 approx-vs-exact harness (TestApproxErrorBounds fails if
-# any approximate cell exceeds its declared error bound or the work
-# reduction drops below 10x) and the cross-worker byte-determinism
-# check. The exact cells come from the same content-addressed run cache
-# the golden suite populates, so a warm cache finishes in seconds.
-approx-check:
-	$(GO) test -count=1 ./internal/approx
-	$(GO) test -count=1 -run 'TestApproxErrorBounds|TestApproxDeterminism' ./internal/exp
-
 # Fuzz smoke: replay the checked-in seed corpora (testdata/fuzz/) through
 # every fuzz target deterministically — no -fuzz randomness, so it is a
 # stable CI tier (~seconds). FuzzDecode/FuzzAssemble pin the ISA layer;
 # FuzzVerify pins accepts-implies-no-structural-trap on a live
 # controller; FuzzParseTenantSpec pins the xcache-serve tenant grammar
-# (accept implies valid, canonical-format round-trip);
-# FuzzIntervalPlan/FuzzReplayTags pin the approx tier's
-# reject-degenerate-plans-with-typed-errors contract; FuzzCoherence pins
+# (accept implies valid, canonical-format round-trip); FuzzCoherence pins
 # the coherent hierarchy against its flat single-port oracle (including
 # the committed regression input for the grant/back-inval race);
 # FuzzDRAMSched pins the DRAM scheduler against its verbatim pre-slab
@@ -95,7 +83,7 @@ approx-check:
 # against its verbatim []bool first-fit copy, and FuzzAddrCache the
 # address cache against its verbatim pre-slab copy in lockstep.
 fuzz-smoke:
-	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/mem ./internal/dataram ./internal/addrcache
+	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/hier ./internal/dram ./internal/mem ./internal/dataram ./internal/addrcache
 
 # Open-ended fuzzing (not part of ci): 30s per target, promote anything
 # interesting from the build cache into testdata/fuzz/ before committing.
@@ -105,8 +93,6 @@ fuzz:
 	$(GO) test -fuzz FuzzVerify -fuzztime 30s ./internal/ctrl
 	$(GO) test -fuzz FuzzExecDiff -fuzztime 30s ./internal/ctrl
 	$(GO) test -fuzz FuzzParseTenantSpec -fuzztime 30s ./internal/serve
-	$(GO) test -fuzz FuzzIntervalPlan -fuzztime 30s ./internal/approx
-	$(GO) test -fuzz FuzzReplayTags -fuzztime 30s ./internal/approx
 	$(GO) test -fuzz FuzzCoherence -fuzztime 30s ./internal/hier
 	$(GO) test -fuzz FuzzDRAMSched -fuzztime 30s ./internal/dram
 	$(GO) test -fuzz FuzzImage -fuzztime 30s ./internal/mem
@@ -156,4 +142,4 @@ bench-json-0:
 bench-diff:
 	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -hotloop -bench-diff BENCH_1.json >/dev/null
 
-ci: verify race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke litmus execdiff
+ci: verify race faultsmoke soak servesmoke slosmoke fuzz-smoke litmus execdiff

@@ -317,7 +317,7 @@ type Controller struct {
 	trapResps []MetaResp
 
 	// sink, when non-nil, receives the meta-tag reference trace (see
-	// trace.go); internal/approx replays it against other geometries.
+	// trace.go); the exec-diff lockstep test compares it across executors.
 	sink TraceSink
 
 	// evictHook, when non-nil, observes every stable entry leaving the

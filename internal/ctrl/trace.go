@@ -4,11 +4,10 @@ import "xcache/internal/metatag"
 
 // TraceKind labels one observable controller event on the meta-tag
 // reference path. The stream of TraceEvents a run emits is exactly the
-// sequence of meta-tag array operations in donor time order, which is
-// what lets internal/approx replay it against alternative cache
-// geometries (one-pass multi-configuration tag simulation) with the
-// guarantee that replaying against the donor's own geometry reproduces
-// its hit/miss counts bit-exactly.
+// sequence of meta-tag array operations in time order, so two runs that
+// should behave alike can be compared event by event: the exec-diff
+// lockstep test (TestExecDiff, exec_diff_test.go) requires the
+// interpreter's and the fast path's streams to be equal.
 type TraceKind uint8
 
 // Trace event kinds.
@@ -29,9 +28,8 @@ const (
 	// entry (not-found on the reference path).
 	TraceAbort
 	// TraceAllocRetry is an allocm/allocd conflict: the walker retired
-	// and its origin request was pushed back to replay. Captures for
-	// approximate replay reject traces containing these (the request is
-	// re-admitted and double-classified).
+	// and its origin request was pushed back to replay, so the request
+	// is admitted (and classified) again.
 	TraceAllocRetry
 	// TraceDrain and TraceFlush are the bulk stable-entry removals
 	// (GraphPulse superstep pops, DASX round flushes).

@@ -22,18 +22,14 @@ import (
 	"xcache/internal/sim"
 )
 
-// Work describes one probe workload. A nonzero WinLen restricts the run
-// to the probe-trace slice [WinStart, WinStart+WinLen) — the index is
-// built in full, only the probe stream is windowed — which is what the
-// sampled-interval approximation tier (internal/approx) executes.
+// Work describes one probe workload: a hash index of NumKeys keys over
+// Buckets buckets, probed Probes times with the Profile's key mix.
 type Work struct {
-	NumKeys  int
-	Buckets  int
-	Probes   int
-	Profile  hashidx.Profile
-	Seed     int64
-	WinStart int
-	WinLen   int
+	NumKeys int
+	Buckets int
+	Probes  int
+	Profile hashidx.Profile
+	Seed    int64
 }
 
 // DefaultWork sizes a workload for the given TPC-H profile; scale divides
@@ -65,9 +61,6 @@ type Options struct {
 	// fault injection) to the run, whatever its kind; nil runs
 	// unsupervised.
 	Check *check.Config
-	// Trace, when non-nil, receives the controller's meta-tag reference
-	// trace (RunXCache only); internal/approx captures through it.
-	Trace ctrl.TraceSink
 }
 
 func (o *Options) defaults() {
@@ -143,27 +136,10 @@ func Spec(shift uint) program.Spec {
 	}
 }
 
-// BuildWorkload lays the index out in img and generates the probe trace,
-// applying the Work's window (if any) to the probe stream. The window is
-// clamped to the trace, so a plan sized for a different scale degrades
-// to a shorter window instead of panicking.
+// BuildWorkload lays the index out in img and generates the probe trace.
 func BuildWorkload(w Work, img *mem.Image) (*hashidx.Index, []uint64) {
 	ix := hashidx.Build(img, hashidx.SeqKeys(w.NumKeys), w.Buckets)
-	trace := hashidx.Trace(ix, w.Profile, w.Probes, w.Seed)
-	if w.WinLen > 0 {
-		lo, hi := w.WinStart, w.WinStart+w.WinLen
-		if lo < 0 {
-			lo = 0
-		}
-		if lo > len(trace) {
-			lo = len(trace)
-		}
-		if hi > len(trace) {
-			hi = len(trace)
-		}
-		trace = trace[lo:hi]
-	}
-	return ix, trace
+	return ix, hashidx.Trace(ix, w.Profile, w.Probes, w.Seed)
 }
 
 // datapath drives meta probes against an X-Cache and validates RIDs.
@@ -221,9 +197,6 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 	}
 	xc.SetEnv(0, ix.Table)
 	xc.SetEnv(1, hashidx.HashMul)
-	if opt.Trace != nil {
-		xc.Ctrl.SetTraceSink(opt.Trace)
-	}
 
 	dp := &datapath{c: xc.Ctrl, trace: trace, ix: ix, issueW: opt.IssueWidth, ok: true}
 	h.K.Add(dp)

@@ -97,15 +97,14 @@ func hotloopRun(exec ctrl.ExecPath, reqs int) (actions uint64, wall time.Duratio
 // host noise lands on both, and the medians discard the outliers.
 const hotloopReps = 5
 
-// Hotloop measures the controller's microcode step loop on the selected
-// executor backends ("interp", "fast" or "both") and reports the median
-// ns-per-action over hotloopReps interleaved repetitions plus, when both
-// run, the fast-path speedup from those medians. The action counts are
-// deterministic (and byte-stable in baselines); the nanosecond metrics
-// are wall-clock and machine-dependent — baseline comparisons must use a
-// relative tolerance, which is what the `make bench-diff` gate does with
-// the speedup ratio.
-func Hotloop(which string, reqs int) (*Out, error) {
+// Hotloop measures the controller's microcode step loop on both executor
+// backends and reports the median ns-per-action over hotloopReps
+// interleaved repetitions plus the fast-path speedup from those medians.
+// The action counts are deterministic (and byte-stable in baselines);
+// the nanosecond metrics are wall-clock and machine-dependent — baseline
+// comparisons must use a relative tolerance, which is what the
+// `make bench-diff` gate does with the speedup ratio.
+func Hotloop(reqs int) (*Out, error) {
 	if reqs <= 0 {
 		reqs = 512
 	}
@@ -115,15 +114,9 @@ func Hotloop(which string, reqs int) (*Out, error) {
 		ns     []float64
 		median float64
 	}
-	var execs []*executor
-	if which == "both" || which == "interp" {
-		execs = append(execs, &executor{name: "interp", path: ctrl.ExecInterp})
-	}
-	if which == "both" || which == "fast" {
-		execs = append(execs, &executor{name: "fast", path: ctrl.ExecFast})
-	}
-	if len(execs) == 0 {
-		return nil, fmt.Errorf("hotloop: unknown executor selection %q (want both|interp|fast)", which)
+	execs := []*executor{
+		{name: "interp", path: ctrl.ExecInterp},
+		{name: "fast", path: ctrl.ExecFast},
 	}
 	out := &Out{
 		ID:      "hotloop",
@@ -154,11 +147,9 @@ func Hotloop(which string, reqs int) (*Out, error) {
 		out.Metrics[e.name+"_ns_per_action"] = e.median
 		out.Table.Add(e.name, fmt.Sprintf("%.1f", e.median), fmt.Sprintf("%.1f", 1e3/e.median))
 	}
-	if len(execs) == 2 {
-		speedup := execs[0].median / execs[1].median
-		out.Metrics["speedup_x"] = speedup
-		out.Notes = append(out.Notes,
-			fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", speedup))
-	}
+	speedup := execs[0].median / execs[1].median
+	out.Metrics["speedup_x"] = speedup
+	out.Notes = append(out.Notes,
+		fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", speedup))
 	return out, nil
 }

@@ -1,12 +1,13 @@
 package runner
 
 import (
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"xcache/internal/check"
-	"xcache/internal/ctrl"
 	"xcache/internal/dsa"
 )
 
@@ -110,35 +111,115 @@ func TestExecuteRejectsUnknowns(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishesEveryField(t *testing.T) {
-	base := tinySpec()
-	mutations := map[string]func(*Spec){
-		"DSA":       func(s *Spec) { s.DSA = DSADASX },
-		"Kind":      func(s *Spec) { s.Kind = dsa.KindAddr },
-		"Workload":  func(s *Spec) { s.Workload = "TPC-H-19" },
-		"Scale":     func(s *Spec) { s.Scale = 401 },
-		"WorkScale": func(s *Spec) { s.WorkScale = 800 },
-		"DivMul":    func(s *Spec) { s.DivMul = 2 },
-		"Mode":      func(s *Spec) { s.Mode = 1 },
-		"Exec":      func(s *Spec) { s.Exec = ctrl.ExecInterp },
-		"Hardwired": func(s *Spec) { s.Hardwired = true },
-		"Lookahead": func(s *Spec) { s.Lookahead = 16 },
-		"NumActive": func(s *Spec) { s.NumActive = 8 },
-		"NumExe":    func(s *Spec) { s.NumExe = 2 },
-		"Check":     func(s *Spec) { s.Check = true },
-		"DropResp":  func(s *Spec) { s.Faults.DropResp = 1e-3 },
-		"FlipBit":   func(s *Spec) { s.Faults.FlipBit = 1e-4 },
-		"Timeout":   func(s *Spec) { s.Faults.FillTimeout = 99 },
-		"Seed":      func(s *Spec) { s.Seed = 9 },
+// keyLeaf is one field reachable from Spec: its dotted name and the path
+// of field indices to it, where -1 steps into element 0 of a slice.
+type keyLeaf struct {
+	name string
+	path []int
+}
+
+// keyLeaves lists every field under typ: each scalar, each slice (which
+// mutates by growing) and, for a slice of structs, each field of its
+// first element.
+func keyLeaves(typ reflect.Type, name string, path []int) []keyLeaf {
+	step := func(i int) []int { return append(append([]int(nil), path...), i) }
+	switch typ.Kind() {
+	case reflect.Struct:
+		var out []keyLeaf
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			out = append(out, keyLeaves(f.Type, strings.TrimPrefix(name+"."+f.Name, "."), step(i))...)
+		}
+		return out
+	case reflect.Slice:
+		out := []keyLeaf{{name, path}}
+		if typ.Elem().Kind() == reflect.Struct {
+			out = append(out, keyLeaves(typ.Elem(), name+"[0]", step(-1))...)
+		}
+		return out
 	}
-	for name, mutate := range mutations {
-		m := base
-		mutate(&m)
+	return []keyLeaf{{name, path}}
+}
+
+// keyField resolves path in v, giving a slice on the way one zero
+// element if it has none.
+func keyField(v reflect.Value, path []int) reflect.Value {
+	for _, i := range path {
+		if i >= 0 {
+			v = v.Field(i)
+			continue
+		}
+		if v.Len() == 0 {
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		}
+		v = v.Index(0)
+	}
+	return v
+}
+
+// mutateKeyField changes v to a different value. Integers move by 3 so
+// that no mutation lands on an alias Key() folds together: DivMul 0
+// means 1, and WorkScale 0 means Scale (400 in tinySpec).
+func mutateKeyField(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 3)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 3)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.25)
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestKeyDistinguishesEveryField walks every field of Spec, including
+// those of its check.FaultConfig, by reflection: changing any one of them
+// must change the canonical key and the content hash. A field added to
+// either struct is covered without touching this test.
+func TestKeyDistinguishesEveryField(t *testing.T) {
+	leaves := keyLeaves(reflect.TypeOf(Spec{}), "", nil)
+	for _, l := range leaves {
+		base, m := tinySpec(), tinySpec()
+		// A field of a slice element is compared against a base that
+		// holds the same zero element, so only the field differs.
+		keyField(reflect.ValueOf(&base).Elem(), l.path)
+		if f := keyField(reflect.ValueOf(&m).Elem(), l.path); !mutateKeyField(f) {
+			t.Fatalf("%s: no mutation for a field of kind %s", l.name, f.Kind())
+		}
+		if m.WorkScale == m.Scale || m.DivMul == 1 {
+			t.Fatalf("%s: the mutation hit an alias of the zero value", l.name)
+		}
 		if m.Key() == base.Key() {
-			t.Errorf("mutating %s does not change the canonical key", name)
+			t.Errorf("mutating %s does not change the canonical key %q", l.name, base.Key())
 		}
 		if m.Hash() == base.Hash() {
-			t.Errorf("mutating %s does not change the content hash", name)
+			t.Errorf("mutating %s does not change the content hash", l.name)
+		}
+	}
+	// Probabilities that differ only in their last bit are different
+	// specs too, so Key must not round them.
+	a, b := tinySpec(), tinySpec()
+	a.Faults.DropResp, b.Faults.DropResp = 1e-3, math.Nextafter(1e-3, 1)
+	if a.Key() == b.Key() {
+		t.Errorf("DropResp %v and %v share the key %q", a.Faults.DropResp, b.Faults.DropResp, a.Key())
+	}
+	// The walk must reach the nested fault classes, channel episodes
+	// included, or it proves nothing about them.
+	names := map[string]bool{}
+	for _, l := range leaves {
+		names[l.name] = true
+	}
+	for _, want := range []string{"Faults.DelayResp", "Faults.DelayMax", "Faults.ClogQueue", "Faults.Channels", "Faults.Channels[0].Extra"} {
+		if !names[want] {
+			t.Errorf("field walk missed %s", want)
 		}
 	}
 }
